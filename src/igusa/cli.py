@@ -196,24 +196,20 @@ def run(config: JobConfig) -> tuple[dict, int]:
         _check(report, "hypotheses", ok, report["certificates"])
         return report, 0 if ok else 2
 
-    engine_mode = {"zeta": "full", "zeta0": "origin"}.get(mode)
-    want_engine = mode in ("zeta", "zeta0", "poles", "poincare", "congruence", "expsum", "all")
-
     zr = None
     zr0 = None
-    if want_engine:
-        if mode != "zeta0":
-            try:
-                zr = zeta_mod.zeta_full(sys_, ctx, budget)
-            except HypothesisError as exc:
-                report["checks"].append({"name": "zeta_full_hypotheses", "passed": False, "detail": exc.detail()})
-        if mode in ("zeta0", "poles", "all") or (mode == "poles" and zr is None):
-            try:
-                zr0 = zeta_mod.zeta_origin(sys_, ctx, budget)
-            except HypothesisError as exc:
-                report["checks"].append({"name": "zeta_origin_hypotheses", "passed": False, "detail": exc.detail()})
+    if mode != "zeta0":
+        try:
+            zr = zeta_mod.zeta_full(sys_, ctx, budget)
+        except HypothesisError as exc:
+            report["checks"].append({"name": "zeta_full_hypotheses", "passed": False, "detail": exc.detail()})
+    if mode in ("zeta0", "poles", "all"):
+        try:
+            zr0 = zeta_mod.zeta_origin(sys_, ctx, budget)
+        except HypothesisError as exc:
+            report["checks"].append({"name": "zeta_origin_hypotheses", "passed": False, "detail": exc.detail()})
 
-    primary = zr if engine_mode != "origin" else zr0
+    primary = zr0 if mode == "zeta0" else zr
     if mode in ("zeta", "zeta0") and primary is None:
         return report, 2
     if mode == "poles" and zr is None and zr0 is None:

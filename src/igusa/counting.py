@@ -5,19 +5,21 @@ the non-degeneracy and good-reduction hypotheses.  All counts are exact;
 "p big enough" is the caller's responsibility -- a certificate is only
 valid at the prime it was computed for.
 
-The enumeration loops are pure over disjoint ranges of the point space,
-so callers may partition them data-parallel; sums of counts do not depend
-on the partition.
+Every enumeration evaluates each face polynomial over whole chunks of the
+int64 grid of ``polycore`` and keeps the points where it vanishes; Jacobian
+ranks are computed only at the common zeros that survive.  A degeneracy
+witness is the lexicographically first failing point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+
+import numpy as np
 
 from . import fan as fan_mod
-from .errors import DEFAULT_ENUM_BUDGET, BudgetExceededError
-from .polycore import IntPolynomial, PolySystem, PrimeContext, face_function
+from .errors import DEFAULT_ENUM_BUDGET, check_budget
+from .polycore import IntPolynomial, PolySystem, PrimeContext, eval_on_grid, face_function, grid_chunks, grid_zeros
 
 
 @dataclass
@@ -42,32 +44,21 @@ class NondegCertificate:
     directions_checked: int = 0
 
 
-def _check_budget(points: int, budget: int, what: str):
-    if points > budget:
-        raise BudgetExceededError(what, points, budget)
-
-
-def _torus_iter(p: int, n: int):
-    return product(range(1, p), repeat=n)
-
-
 def torus_count(sys: PolySystem, a, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET) -> TorusCount:
     """Exact counts of the face system of direction a on the torus (F_p^x)^n.
 
     a = 0 means the full polynomials (used for the constant-chart term).
     """
     p = ctx.p
-    _check_budget((p - 1) ** sys.n, budget, "torus enumeration")
+    check_budget((p - 1) ** sys.n, budget, "torus enumeration")
     faces = [face_function(f, a) for f in sys.polys]
     c_open = 0
     c_closed = 0
-    for z in _torus_iter(p, sys.n):
-        if any(g.evaluate_mod(z, p) != 0 for g in faces[:-1]):
-            continue
-        if faces[-1].evaluate_mod(z, p) == 0:
-            c_closed += 1
-        else:
-            c_open += 1
+    for coords in grid_chunks(np.arange(1, p), sys.n):
+        head = grid_zeros(faces[:-1], coords, p)
+        closed = int(np.count_nonzero(eval_on_grid(faces[-1], head, p) == 0))
+        c_closed += closed
+        c_open += len(head[0]) - closed
     return TorusCount(c_open, c_closed)
 
 
@@ -94,12 +85,20 @@ def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def _jacobian(polys: list[IntPolynomial]) -> list[list[IntPolynomial]]:
+    return [[f.partial(j) for j in range(f.n)] for f in polys]
+
+
 def jacobian_rank(polys: list[IntPolynomial], z, ctx: PrimeContext) -> int:
     """Rank over F_p of the matrix of formal partials evaluated at z."""
-    rows = []
-    for f in polys:
-        rows.append([f.partial(j).evaluate_mod(z, ctx.p) for j in range(f.n)])
-    return _rank_mod_p(rows, ctx.p)
+    return _rank_mod_p([[d.evaluate_mod(z, ctx.p) for d in row] for row in _jacobian(polys)], ctx.p)
+
+
+def _ranks_at(jac: list[list[IntPolynomial]], coords: list[np.ndarray], p: int) -> list[tuple[tuple[int, ...], int]]:
+    """(point, Jacobian rank over F_p) at each point of the coordinate arrays."""
+    values = [[eval_on_grid(d, coords, p).tolist() for d in row] for row in jac]
+    points = zip(*(x.tolist() for x in coords))
+    return [(z, _rank_mod_p([[v[k] for v in row] for row in values], p)) for k, z in enumerate(points)]
 
 
 def _nondeg_directions(sys: PolySystem, at_origin: bool):
@@ -136,17 +135,18 @@ def check_nondegenerate(
     p = ctx.p
     scope = "at_origin" if at_origin else "global"
     target = min(sys.l, sys.n)
-    _check_budget((p - 1) ** sys.n, budget, "non-degeneracy enumeration")
+    check_budget((p - 1) ** sys.n, budget, "non-degeneracy enumeration")
     directions = _nondeg_directions(sys, at_origin)
     for a in directions:
         faces = [face_function(f, a) for f in sys.polys]
-        for z in _torus_iter(p, sys.n):
-            if any(g.evaluate_mod(z, p) != 0 for g in faces):
-                continue
-            r = jacobian_rank(faces, z, ctx)
-            if r != target:
-                witness = NondegWitness(tuple(a), tuple(z), r)
-                return NondegCertificate(False, scope, p, witness, len(directions))
+        jac = _jacobian(faces)
+        failures = []
+        for coords in grid_chunks(np.arange(1, p), sys.n):
+            zeros = grid_zeros(faces, coords, p)
+            failures += [(z, r) for z, r in _ranks_at(jac, zeros, p) if r != target]
+        if failures:
+            z, r = min(failures)
+            return NondegCertificate(False, scope, p, NondegWitness(tuple(a), z, r), len(directions))
     return NondegCertificate(True, scope, p, None, len(directions))
 
 
@@ -170,10 +170,10 @@ def check_good_reduction(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAU
         raise ValueError("good reduction concerns the first l-1 polynomials; need l >= 2")
     p = ctx.p
     head = sys.polys[:-1]
-    _check_budget(p**sys.n, budget, "good-reduction enumeration")
-    for z in product(range(p), repeat=sys.n):
-        if any(f.evaluate_mod(z, p) != 0 for f in head):
-            continue
-        if jacobian_rank(head, z, ctx) != sys.l - 1:
+    check_budget(p**sys.n, budget, "good-reduction enumeration")
+    jac = _jacobian(head)
+    for coords in grid_chunks(np.arange(p), sys.n):
+        zeros = grid_zeros(head, coords, p)
+        if any(r != sys.l - 1 for _, r in _ranks_at(jac, zeros, p)):
             return False
     return True

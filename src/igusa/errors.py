@@ -61,4 +61,16 @@ class BudgetExceededError(IgusaError):
         return d
 
 
+class ModulusOverflowError(IgusaError):
+    """A residue modulus too large for exact int64 grid arithmetic."""
+
+    exit_code = 4
+
+
 DEFAULT_ENUM_BUDGET = 10**8
+
+
+def check_budget(points: int, budget: int, what: str):
+    """Refuse an enumeration of ``points`` points above ``budget``."""
+    if points > budget:
+        raise BudgetExceededError(what, points, budget)

@@ -2,12 +2,14 @@
 
 Congruence counts N_m, exponential sums mod p^m, local delta-integrals,
 character-twisted coefficient extraction, Gaussian sums, and the
-stationary-phase residual.  Residue arithmetic is exact (numpy int64 on
-moduli far below overflow); complex doubles appear only in the final
-exponential/summation step, with tolerance 1e-9 at <= 1e7 summands.
+stationary-phase residual.  Residue arithmetic is exact (the int64 grid
+evaluator of ``polycore``, which refuses moduli that could overflow);
+complex doubles appear only in the final exponential/summation step, with
+tolerance 1e-9 at <= 1e7 summands.
 
 Nothing in this module consults the explicit-formula engine: these are the
-quantities the engine is tested against.
+quantities the engine is tested against.  The engine's certificates and
+torus counts share the grid evaluator, not the formula.
 """
 
 from __future__ import annotations
@@ -18,57 +20,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DEFAULT_ENUM_BUDGET, BudgetExceededError, HypothesisError
-from .polycore import IntPolynomial, PolySystem, PrimeContext, face_function
+from .errors import DEFAULT_ENUM_BUDGET, check_budget
+from .polycore import PolySystem, PrimeContext, eval_on_grid, face_function, grid_chunks, grid_zeros
 from .ratfun import FactoredRationalFunction
 
-_CHUNK = 1 << 20
 
-
-def _check_budget(points: int, budget: int, what: str):
-    if points > budget:
-        raise BudgetExceededError(what, points, budget)
-
-
-def _eval_on_grid(f: IntPolynomial, coords: list[np.ndarray], modulus: int) -> np.ndarray:
-    """Evaluate f mod modulus on vectorised coordinates (exact int64)."""
-    total = np.zeros(coords[0].shape, dtype=np.int64)
-    for m, c in f.terms.items():
-        term = np.full(coords[0].shape, c % modulus, dtype=np.int64)
-        for x, e in zip(coords, m):
-            if e:
-                xe = x
-                # int64 is safe: values < modulus and modulus^2 << 2^63
-                p_acc = np.ones_like(x)
-                base = xe % modulus
-                ee = e
-                while ee:
-                    if ee & 1:
-                        p_acc = (p_acc * base) % modulus
-                    base = (base * base) % modulus
-                    ee >>= 1
-                term = (term * p_acc) % modulus
-        total = (total + term) % modulus
-    return total
-
-
-def _grid_chunks(modulus: int, n: int, step: int = 1):
-    """Yield coordinate arrays covering (offsets + step * [0, modulus/step))^n.
-
-    With step = 1 this is the full residue grid mod ``modulus``; with
-    step = p and offsets = 0 it is the grid of vectors divisible by p.
-    """
-    per_axis = modulus // step
-    total = per_axis**n
-    start = 0
-    while start < total:
-        stop = min(start + _CHUNK, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        coords = []
-        for j in range(n):
-            coords.append(((idx // per_axis**j) % per_axis) * step)
-        yield coords
-        start = stop
+def _last_on_head(sys: PolySystem, axis, modulus: int, head_modulus: int):
+    """Per grid chunk of axis^n, f_l mod modulus at the points where
+    f_1, ..., f_{l-1} vanish mod head_modulus; chunks with none are skipped."""
+    for coords in grid_chunks(axis, sys.n):
+        head = grid_zeros(sys.polys[:-1], coords, head_modulus)
+        if len(head[0]):
+            yield eval_on_grid(sys.polys[-1], head, modulus)
 
 
 @dataclass
@@ -95,15 +58,10 @@ def count_Nm(sys: PolySystem, ctx: PrimeContext, m: int, budget: int = DEFAULT_E
     if m == 0:
         return 1
     modulus = ctx.p**m
-    _check_budget(modulus**sys.n, budget, "congruence enumeration")
+    check_budget(modulus**sys.n, budget, "congruence enumeration")
     total = 0
-    for coords in _grid_chunks(modulus, sys.n):
-        mask = np.ones(coords[0].shape, dtype=bool)
-        for f in sys.polys:
-            mask &= _eval_on_grid(f, coords, modulus) == 0
-            if not mask.any():
-                break
-        total += int(mask.sum())
+    for coords in grid_chunks(np.arange(modulus), sys.n):
+        total += len(grid_zeros(sys.polys, coords, modulus)[0])
     return total
 
 
@@ -125,15 +83,9 @@ def exp_sum(sys: PolySystem, ctx: PrimeContext, m: int, u: int = 1, budget: int 
     modulus = p**m
     if u % p == 0:
         raise ValueError("u must be a unit")
-    _check_budget(modulus**sys.n, budget, "exponential-sum enumeration")
+    check_budget(modulus**sys.n, budget, "exponential-sum enumeration")
     total = 0j
-    for coords in _grid_chunks(modulus, sys.n):
-        mask = np.ones(coords[0].shape, dtype=bool)
-        for f in sys.polys[:-1]:
-            mask &= _eval_on_grid(f, coords, modulus) == 0
-        if not mask.any():
-            continue
-        fl = _eval_on_grid(sys.polys[-1], coords, modulus)[mask]
+    for fl in _last_on_head(sys, np.arange(modulus), modulus, modulus):
         phases = ((u % modulus) * fl) % modulus
         total += np.exp(2j * np.pi * phases / modulus).sum()
     norm = Fraction(1, p ** (m * (sys.n - sys.l + 1)))
@@ -242,16 +194,10 @@ def _ac_counts(sys: PolySystem, ctx: PrimeContext, k: int, budget: int) -> dict[
     with ord(f_l(y)) = k."""
     p = ctx.p
     modulus = p ** (k + 1)
-    _check_budget(modulus**sys.n, budget, "coefficient enumeration")
+    check_budget(modulus**sys.n, budget, "coefficient enumeration")
     pk = p**k
     counts: dict[int, int] = {}
-    for coords in _grid_chunks(modulus, sys.n):
-        mask = np.ones(coords[0].shape, dtype=bool)
-        for f in sys.polys[:-1]:
-            mask &= _eval_on_grid(f, coords, modulus) == 0
-        if not mask.any():
-            continue
-        fl = _eval_on_grid(sys.polys[-1], coords, modulus)[mask]
+    for fl in _last_on_head(sys, np.arange(modulus), modulus, modulus):
         ord_k = (fl % pk == 0) & ((fl // pk) % p != 0)
         ac = (fl[ord_k] // pk) % p
         binc = np.bincount(ac, minlength=p)
@@ -410,17 +356,10 @@ def _delta_measures_at(sys, ctx, r, level, region, k_max, budget) -> dict[int, F
     if level < r + 1:
         raise ValueError("need level >= r + 1")
     step = p if region == "origin" else 1
-    grid_points = (modulus // step) ** sys.n
-    _check_budget(grid_points, budget, "delta_r enumeration")
-    pr = p**r
+    check_budget((modulus // step) ** sys.n, budget, "delta_r enumeration")
+    pr = p**r  # divides modulus: ord f_i >= r is vanishing mod pr
     counts = {k: 0 for k in range(k_max + 1)}
-    for coords in _grid_chunks(modulus, sys.n, step=step):
-        mask = np.ones(coords[0].shape, dtype=bool)
-        for f in sys.polys[:-1]:
-            mask &= _eval_on_grid(f, coords, modulus) % pr == 0
-        if not mask.any():
-            continue
-        fl = _eval_on_grid(sys.polys[-1], coords, modulus)[mask]
+    for fl in _last_on_head(sys, np.arange(0, modulus, step), modulus, pr):
         for k in range(k_max + 1):
             pk = p**k
             counts[k] += int(((fl % pk == 0) & ((fl // pk) % p != 0)).sum())

@@ -2,8 +2,9 @@
 
 Supports the handful of operations the zeta machinery needs: parsing from a
 small ASCII grammar, face functions with respect to a weight vector,
-evaluation over residue rings, formal partial derivatives, and the
-convenience test.  There is deliberately no general polynomial arithmetic.
+evaluation over residue rings (one point at a time, or exactly in int64 over
+whole grids of points), formal partial derivatives, and the convenience
+test.  There is deliberately no general polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import PolynomialSyntaxError
+import numpy as np
+
+from .errors import ModulusOverflowError, PolynomialSyntaxError
 
 Exponent = tuple[int, ...]
 
@@ -289,6 +292,59 @@ def evaluate_mod(f: IntPolynomial, point, modulus: int) -> int:
                 v = (v * pow(x, e, modulus)) % modulus
         total = (total + v) % modulus
     return total
+
+
+GRID_CHUNK = 1 << 20
+
+
+def eval_on_grid(f: IntPolynomial, coords: list[np.ndarray], modulus: int) -> np.ndarray:
+    """Values of f mod modulus at the points with coordinate arrays ``coords``.
+
+    Exact in int64: every product has factors below modulus, so
+    modulus^2 < 2^63 is required and checked.
+    """
+    if modulus * modulus >= 1 << 63:
+        raise ModulusOverflowError(f"modulus {modulus} too large for exact int64 grid evaluation (needs modulus^2 < 2^63)")
+    total = np.zeros(coords[0].shape, dtype=np.int64)
+    for m, c in f.terms.items():
+        term = np.full(coords[0].shape, c % modulus, dtype=np.int64)
+        for x, e in zip(coords, m):
+            if e:
+                p_acc = np.ones_like(x)
+                base = x % modulus
+                while e:
+                    if e & 1:
+                        p_acc = (p_acc * base) % modulus
+                    base = (base * base) % modulus
+                    e >>= 1
+                term = (term * p_acc) % modulus
+        total = (total + term) % modulus
+    return total
+
+
+def grid_chunks(axis, n: int):
+    """Yield coordinate arrays covering axis^n, GRID_CHUNK points at a time.
+
+    Coordinate 0 varies fastest.  The order and the chunk boundaries are
+    fixed: floating-point sums over the chunks depend on both.
+    """
+    axis = np.asarray(axis, dtype=np.int64)
+    shape = (len(axis),) * n
+    total = len(axis) ** n
+    for start in range(0, total, GRID_CHUNK):
+        idx = np.arange(start, min(start + GRID_CHUNK, total))
+        yield [axis[d] for d in np.unravel_index(idx, shape, order="F")]
+
+
+def grid_zeros(polys, coords: list[np.ndarray], modulus: int) -> list[np.ndarray]:
+    """The points of ``coords`` where every polynomial vanishes mod modulus,
+    as coordinate arrays in the same order."""
+    for f in polys:
+        if not len(coords[0]):
+            break
+        keep = eval_on_grid(f, coords, modulus) == 0
+        coords = [x[keep] for x in coords]
+    return coords
 
 
 @dataclass

@@ -41,7 +41,7 @@ from .counting import (
 from .errors import DEFAULT_ENUM_BUDGET, HypothesisError
 from .fan import Cone, Fan, barycenter, parallelepiped_points_with_coords
 from .polycore import PolySystem, PrimeContext, is_convenient
-from .ratfun import FactoredRationalFunction, PoleLine
+from .ratfun import FactoredRationalFunction, PoleLine, qpow
 
 
 @dataclass
@@ -103,16 +103,12 @@ def compute_S(cone: Cone, sys: PolySystem, ctx: PrimeContext, supports=None) -> 
             if m == 0:
                 shifted = [x + y for x, y in zip(shifted, g)]
         a, b = _exponent_pair(shifted, sys, supports)
-        num[b] = num.get(b, Fraction(0)) + _qpow(q, a)
+        num[b] = num.get(b, Fraction(0)) + qpow(q, a)
     den: dict[tuple[int, int], int] = {}
     for g in cone.generators:
         a, b = _exponent_pair(g, sys, supports)
         den[(a, b)] = den.get((a, b), 0) + 1
     return FactoredRationalFunction(q, num, den)
-
-
-def _qpow(q: int, a: int) -> Fraction:
-    return Fraction(q**a) if a >= 0 else Fraction(1, q**(-a))
 
 
 def compute_L(sys: PolySystem, ctx: PrimeContext, direction, budget: int = DEFAULT_ENUM_BUDGET) -> FactoredRationalFunction:
@@ -123,7 +119,7 @@ def compute_L(sys: PolySystem, ctx: PrimeContext, direction, budget: int = DEFAU
     """
     q = ctx.q
     counts = torus_count(sys, direction, ctx, budget)
-    scale = _qpow(q, -(sys.n - sys.l + 1))
+    scale = qpow(q, -(sys.n - sys.l + 1))
     open_part = FactoredRationalFunction(q, {0: scale * counts.c_open})
     if counts.c_closed:
         closed_part = FactoredRationalFunction(

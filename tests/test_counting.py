@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from igusa.counting import (
@@ -8,6 +10,7 @@ from igusa.counting import (
     verify_witness,
 )
 from igusa.errors import BudgetExceededError
+from igusa.fan import barycenter, dual_subdivision, triangulate
 from igusa.polycore import PolySystem, PrimeContext, face_function, parse_polynomial
 
 V2 = ["x", "y"]
@@ -163,3 +166,88 @@ class TestGoodReduction:
     def test_l1_rejected(self):
         with pytest.raises(ValueError):
             check_good_reduction(degenerate_curve(), PrimeContext(3))
+
+
+# ---------------------------------------------------------------------------
+# Point-by-point reference: itertools.product order and scalar evaluate_mod
+# ---------------------------------------------------------------------------
+
+
+def reference_torus_count(s, a, p):
+    faces = [face_function(f, a) for f in s.polys]
+    c_open = c_closed = 0
+    for z in product(range(1, p), repeat=s.n):
+        if any(g.evaluate_mod(z, p) for g in faces[:-1]):
+            continue
+        if faces[-1].evaluate_mod(z, p):
+            c_open += 1
+        else:
+            c_closed += 1
+    return c_open, c_closed
+
+
+def reference_good_reduction(s, ctx):
+    head = s.polys[:-1]
+    for z in product(range(ctx.p), repeat=s.n):
+        if not any(f.evaluate_mod(z, ctx.p) for f in head) and jacobian_rank(head, z, ctx) != s.l - 1:
+            return False
+    return True
+
+
+def reference_witness(s, ctx, at_origin):
+    """First failing point, in product order, of the first failing direction."""
+    directions = [cone.interior_point() for cone in dual_subdivision(s).cones]
+    if at_origin:
+        directions = [a for a in directions if all(x > 0 for x in a)]
+    else:
+        directions.append((0,) * s.n)
+    for a in directions:
+        faces = [face_function(f, a) for f in s.polys]
+        for z in product(range(1, ctx.p), repeat=s.n):
+            if any(g.evaluate_mod(z, ctx.p) for g in faces):
+                continue
+            r = jacobian_rank(faces, z, ctx)
+            if r != min(s.l, s.n):
+                return tuple(a), z, r
+    return None
+
+
+class TestAgainstPointwiseReference:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_torus_counts_71_cones_and_L0(self, p):
+        s = sys71()
+        directions = [barycenter(cone) for cone in triangulate(dual_subdivision(s)).cones]
+        for a in directions + [(0, 0, 0)]:
+            tc = torus_count(s, a, PrimeContext(p))
+            assert (tc.c_open, tc.c_closed) == reference_torus_count(s, a, p), a
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_good_reduction(self, p):
+        systems = [
+            sys71(),
+            sys72(2),
+            sys72(3),
+            PolySystem(3, [parse_polynomial("x^2+y^2-z^2", V3), parse_polynomial("x+y+z", V3)]),
+            PolySystem(3, [parse_polynomial("x*y-z^2", V3), parse_polynomial("x+y+z", V3)]),
+            PolySystem(3, [parse_polynomial("x^2-y^3", V3), parse_polynomial("y^2-z^3", V3), parse_polynomial("x+z", V3)]),
+        ]
+        verdicts = []
+        for s in systems:
+            verdicts.append(check_good_reduction(s, PrimeContext(p)))
+            assert verdicts[-1] == reference_good_reduction(s, PrimeContext(p))
+        assert True in verdicts and False in verdicts
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("at_origin", [False, True])
+    def test_degeneracy_witness(self, p, at_origin):
+        # degenerate_curve() is the acceptance suite's collapsed_curve(); it
+        # first degenerates at p = 3.
+        s = degenerate_curve()
+        ctx = PrimeContext(p)
+        cert = check_nondegenerate(s, ctx, at_origin=at_origin)
+        expected = reference_witness(s, ctx, at_origin)
+        if expected is None:
+            assert cert.ok and cert.witness is None
+        else:
+            w = cert.witness
+            assert not cert.ok and (w.direction, w.point, w.rank) == expected

@@ -1,13 +1,19 @@
+from itertools import product
+
+import numpy as np
 import pytest
 
-from igusa.errors import PolynomialSyntaxError
+from igusa import polycore
+from igusa.errors import ModulusOverflowError, PolynomialSyntaxError
 from igusa.polycore import (
     IntPolynomial,
     PolySystem,
     PrimeContext,
+    eval_on_grid,
     evaluate_mod,
     face_function,
     format_polynomial,
+    grid_chunks,
     is_convenient,
     parse_polynomial,
 )
@@ -123,6 +129,24 @@ class TestEvaluate:
         for pt in [(4, 7), (12, 5), (0, 8)]:
             assert evaluate_mod(f, pt, 125) % 25 == evaluate_mod(f, pt, 25)
             assert evaluate_mod(f, pt, 25) % 5 == evaluate_mod(f, pt, 5)
+
+
+class TestGrid:
+    def test_overflow_guard(self):
+        f = parse_polynomial("x^2+x", ["x"])
+        below = 3037000499  # largest modulus with modulus^2 < 2^63
+        x = np.array([below - 1], dtype=np.int64)
+        assert eval_on_grid(f, [x], below).tolist() == [evaluate_mod(f, (below - 1,), below)]
+        with pytest.raises(ModulusOverflowError):
+            eval_on_grid(f, [x], below + 1)
+
+    def test_chunks_cover_grid_in_order(self, monkeypatch):
+        monkeypatch.setattr(polycore, "GRID_CHUNK", 7)
+        chunks = list(grid_chunks([1, 2, 4], 3))
+        assert [len(c[0]) for c in chunks] == [7, 7, 7, 6]
+        points = [tuple(x[k] for x in c) for c in chunks for k in range(len(c[0]))]
+        # coordinate 0 varies fastest
+        assert points == [z[::-1] for z in product([1, 2, 4], repeat=3)]
 
 
 class TestSystemAndContext:

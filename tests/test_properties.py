@@ -7,10 +7,12 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from igusa import linalg
 from igusa.fan import Cone, dual_subdivision, parallelepiped_points, triangulate
 from igusa.oracle import exp_sum
-from igusa.polycore import PolySystem, PrimeContext, parse_polynomial
+from igusa.polycore import IntPolynomial, PolySystem, PrimeContext, eval_on_grid, evaluate_mod, parse_polynomial
 from igusa.ratfun import FactoredRationalFunction as FRF
 from igusa.ratfun import _poly_mul
 
@@ -154,6 +156,23 @@ def check_expsum_conjugation(seed=0):
     return checked
 
 
+def check_grid_evaluator(cases=300, seed=20261018):
+    """The int64 grid evaluator equals the scalar evaluate_mod on random
+    polynomials (n <= 3, exponents <= 9, signed coefficients) and points."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        n = rng.choice([1, 2, 3])
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            terms[tuple(rng.randint(0, 9) for _ in range(n))] = rng.randint(-60, 60)
+        f = IntPolynomial(n, terms)
+        modulus = rng.choice([3, 5, 7, 25, 125, 47**2])
+        points = [tuple(rng.randint(-2 * modulus, 2 * modulus) for _ in range(n)) for _ in range(25)]
+        coords = [np.array([pt[j] for pt in points], dtype=np.int64) for j in range(n)]
+        assert eval_on_grid(f, coords, modulus).tolist() == [evaluate_mod(f, pt, modulus) for pt in points]
+    return cases
+
+
 def test_parallelepiped_counts():
     assert check_parallelepiped_counts() == 200
 
@@ -168,3 +187,7 @@ def test_ratfun_against_reference():
 
 def test_expsum_conjugation():
     assert check_expsum_conjugation() > 0
+
+
+def test_grid_evaluator_against_scalar():
+    assert check_grid_evaluator() == 300
