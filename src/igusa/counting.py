@@ -13,7 +13,7 @@ witness is the lexicographically first failing point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,8 @@ class NondegCertificate:
     p: int
     witness: NondegWitness | None = None
     directions_checked: int = 0
+    # The cones the certificate covers: the system's dual subdivision.
+    subdivision: fan_mod.Fan | None = field(default=None, repr=False, compare=False)
 
 
 def torus_count(sys: PolySystem, a, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET) -> TorusCount:
@@ -101,42 +103,34 @@ def _ranks_at(jac: list[list[IntPolynomial]], coords: list[np.ndarray], p: int) 
     return [(z, _rank_mod_p([[v[k] for v in row] for row in values], p)) for k, z in enumerate(points)]
 
 
-def _nondeg_directions(sys: PolySystem, at_origin: bool):
-    """One integer representative per cone of the dual subdivision.
-
-    Face systems are constant on each cone, so these finitely many
-    directions cover every positive vector; a = 0 is appended in the global
-    case (the paper's "including the origin").
-    """
-    subdivision = fan_mod.dual_subdivision(sys)
-    reps = []
-    for cone in subdivision.cones:
-        rep = cone.interior_point()
-        if at_origin and not all(x > 0 for x in rep):
-            continue
-        reps.append(rep)
-    if not at_origin:
-        reps.append((0,) * sys.n)
-    return reps
-
-
 def check_nondegenerate(
     sys: PolySystem,
     ctx: PrimeContext,
     at_origin: bool = False,
     budget: int = DEFAULT_ENUM_BUDGET,
+    subdivision: fan_mod.Fan | None = None,
 ) -> NondegCertificate:
     """Certify strong non-degeneracy over F_p (globally or at the origin).
 
-    For each representative direction, every common torus zero of all l
-    face polynomials must have Jacobian rank min(l, n).  The first failure
-    is returned as an independently checkable witness.
+    Face systems are constant on each cone of the dual subdivision, so one
+    integer representative per cone covers every positive vector; a = 0 is
+    added in the global case (the paper's "including the origin").  For
+    each representative direction, every common torus zero of all l face
+    polynomials must have Jacobian rank min(l, n).  The first failure is
+    returned as an independently checkable witness.  The subdivision is
+    built here unless the caller passes the one it already has.
     """
     p = ctx.p
     scope = "at_origin" if at_origin else "global"
     target = min(sys.l, sys.n)
     check_budget((p - 1) ** sys.n, budget, "non-degeneracy enumeration")
-    directions = _nondeg_directions(sys, at_origin)
+    if subdivision is None:
+        subdivision = fan_mod.dual_subdivision(sys)
+    directions = [cone.interior_point() for cone in subdivision.cones]
+    if at_origin:
+        directions = [a for a in directions if all(x > 0 for x in a)]
+    else:
+        directions.append((0,) * sys.n)
     for a in directions:
         faces = [face_function(f, a) for f in sys.polys]
         jac = _jacobian(faces)
@@ -146,8 +140,8 @@ def check_nondegenerate(
             failures += [(z, r) for z, r in _ranks_at(jac, zeros, p) if r != target]
         if failures:
             z, r = min(failures)
-            return NondegCertificate(False, scope, p, NondegWitness(tuple(a), z, r), len(directions))
-    return NondegCertificate(True, scope, p, None, len(directions))
+            return NondegCertificate(False, scope, p, NondegWitness(tuple(a), z, r), len(directions), subdivision)
+    return NondegCertificate(True, scope, p, None, len(directions), subdivision)
 
 
 def verify_witness(sys: PolySystem, ctx: PrimeContext, witness: NondegWitness) -> bool:

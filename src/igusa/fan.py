@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -58,7 +59,7 @@ class Cone:
     def n(self) -> int:
         return len(self.generators[0])
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return linalg.rank([list(g) for g in self.generators])
 
@@ -93,6 +94,11 @@ class Fan:
     n: int
     cones: list[Cone]
     skeleton: list[Ray] = field(default_factory=list)
+
+    @cached_property
+    def triangulation(self) -> "Fan":
+        """The simplicial refinement, computed on first use and kept."""
+        return triangulate(self)
 
     def cones_of_dim(self, d: int) -> list[Cone]:
         return [c for c in self.cones if c.dim == d]
@@ -355,17 +361,7 @@ def _pp_group(cone: Cone) -> list[tuple[Fraction, ...]]:
 
 def parallelepiped_points(cone: Cone) -> list[Ray]:
     """Integer points of {sum mu_i a_i : 0 <= mu_i < 1}."""
-    if not cone.simplicial:
-        raise ValueError("parallelepiped points are defined for simplicial cones")
-    pts = []
-    for mu in _pp_group(cone):
-        pts.append(
-            tuple(
-                int(sum(m * Fraction(g[i]) for m, g in zip(mu, cone.generators)))
-                for i in range(cone.n)
-            )
-        )
-    return sorted(pts)
+    return sorted(h for h, _ in parallelepiped_points_with_coords(cone))
 
 
 def parallelepiped_points_with_coords(cone: Cone) -> list[tuple[Ray, tuple[Fraction, ...]]]:

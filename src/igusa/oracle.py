@@ -215,16 +215,15 @@ def coeff_extract(sys: PolySystem, ctx: PrimeContext, k: int, chi: MultChar, bud
     if chi.conductor > 1:
         raise ValueError("conductor > 1 characters are not supported")
     counts = _ac_counts(sys, ctx, k, budget)
-    norm = Fraction(1, ctx.p ** ((k + 1) * (sys.n - sys.l + 1)))
+    return _twisted_coeff(counts, chi, Fraction(1, ctx.p ** ((k + 1) * (sys.n - sys.l + 1))))
+
+
+def _twisted_coeff(counts: dict[int, int], chi: MultChar, norm: Fraction) -> complex:
+    """norm * sum over angular components of count * chi(component)."""
     total = 0j
     for unit, cnt in sorted(counts.items()):
         total += cnt * chi.value(unit)
     return complex(total * float(norm))
-
-
-def _coeff_extract_exact_trivial(sys: PolySystem, ctx: PrimeContext, k: int, budget: int) -> Fraction:
-    counts = _ac_counts(sys, ctx, k, budget)
-    return Fraction(sum(counts.values()), ctx.p ** ((k + 1) * (sys.n - sys.l + 1)))
 
 
 def prop3_residual(sys: PolySystem, ctx: PrimeContext, m: int, u: int = 1, budget: int = DEFAULT_ENUM_BUDGET) -> float:
@@ -252,13 +251,15 @@ def prop3_residual(sys: PolySystem, ctx: PrimeContext, m: int, u: int = 1, budge
     p = ctx.p
     lhs = exp_sum(sys, ctx, m, u, budget)
     nm = count_Nm(sys, ctx, m, budget)
-    c_triv = _coeff_extract_exact_trivial(sys, ctx, m - 1, budget)
-    rhs_rational = Fraction(nm, p ** (m * (sys.n - sys.l + 1))) - c_triv / (p - 1)
-    rhs = complex(float(rhs_rational))
+    # Every c_{m-1}(chi) weighs the same angular-component counts.
+    counts = _ac_counts(sys, ctx, m - 1, budget)
+    norm = Fraction(1, p ** (m * (sys.n - sys.l + 1)))
+    c_triv = sum(counts.values()) * norm
+    rhs = complex(float(nm * norm - c_triv / (p - 1)))
     for chi in all_characters(p):
         if chi.trivial:
             continue
-        rhs += gaussian_sum(chi.inverse()) * chi.value(u) * coeff_extract(sys, ctx, m - 1, chi, budget)
+        rhs += gaussian_sum(chi.inverse()) * chi.value(u) * _twisted_coeff(counts, chi, norm)
     return abs(lhs - rhs)
 
 

@@ -171,7 +171,7 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def _require_engine_hypotheses(sys: PolySystem, ctx: PrimeContext, at_origin: bool, budget: int) -> NondegCertificate:
+def _require_engine_hypotheses(sys: PolySystem, ctx: PrimeContext, at_origin: bool, budget: int, subdivision: Fan | None) -> NondegCertificate:
     if sys.l < 2:
         raise HypothesisError("the zeta engine needs 2 <= l <= n")
     report = is_convenient(sys)
@@ -180,7 +180,7 @@ def _require_engine_hypotheses(sys: PolySystem, ctx: PrimeContext, at_origin: bo
             "system is not convenient; refusing to pick a compactification",
             witness={"missing_pure_powers": report.missing},
         )
-    cert = check_nondegenerate(sys, ctx, at_origin=at_origin, budget=budget)
+    cert = check_nondegenerate(sys, ctx, at_origin=at_origin, budget=budget, subdivision=subdivision)
     if not cert.ok:
         w = cert.witness
         raise HypothesisError(
@@ -190,13 +190,12 @@ def _require_engine_hypotheses(sys: PolySystem, ctx: PrimeContext, at_origin: bo
     return cert
 
 
-def _assemble(sys: PolySystem, ctx: PrimeContext, mode: str, budget: int) -> ZetaReport:
+def _assemble(sys: PolySystem, ctx: PrimeContext, mode: str, budget: int, subdivision: Fan | None) -> ZetaReport:
     at_origin = mode == "origin"
-    cert = _require_engine_hypotheses(sys, ctx, at_origin, budget)
+    cert = _require_engine_hypotheses(sys, ctx, at_origin, budget, subdivision)
     good_red = check_good_reduction(sys, ctx, budget)
 
-    subdivision = fan_mod.dual_subdivision(sys)
-    tri = fan_mod.triangulate(subdivision)
+    tri = cert.subdivision.triangulation
     supports = [f.support() for f in sys.polys]
 
     contributions: list[ConeContribution] = []
@@ -238,14 +237,17 @@ def _assemble(sys: PolySystem, ctx: PrimeContext, mode: str, budget: int) -> Zet
     )
 
 
-def zeta_full(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET) -> ZetaReport:
-    """Zeta function with test function = characteristic function of R_K^n."""
-    return _assemble(sys, ctx, "full", budget)
+def zeta_full(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET, subdivision: Fan | None = None) -> ZetaReport:
+    """Zeta function with test function = characteristic function of R_K^n.
+
+    ``subdivision``, the system's dual subdivision, is built here unless given.
+    """
+    return _assemble(sys, ctx, "full", budget, subdivision)
 
 
-def zeta_origin(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET) -> ZetaReport:
+def zeta_origin(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET, subdivision: Fan | None = None) -> ZetaReport:
     """Zeta function with test function = characteristic function of (P_K)^n."""
-    return _assemble(sys, ctx, "origin", budget)
+    return _assemble(sys, ctx, "origin", budget, subdivision)
 
 
 def poincare_series(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET, report: ZetaReport | None = None) -> FactoredRationalFunction:

@@ -131,6 +131,30 @@ class TestRun:
         residuals = report["oracle"]["expsum"]["prop3_residuals"]
         assert all(r["residual"] < 1e-9 for r in residuals)
 
+    @pytest.mark.parametrize("mode", ["zeta", "zeta0", "all", "check"])
+    def test_one_subdivision_per_job(self, mode, monkeypatch):
+        # The certificates, the fan section and the engine share one dual
+        # subdivision and its one triangulation.
+        import igusa.fan as fan_mod
+        import igusa.newton as newton_mod
+
+        calls = {}
+        for module, name in ((newton_mod, "system_polyhedron"), (fan_mod, "triangulate")):
+            real = getattr(module, name)
+            calls[name] = 0
+
+            def shim(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, shim)
+        cfg = parse_config(JOB_71)
+        cfg.mode = mode
+        cfg.expsum_levels = 2
+        _, code = run(cfg)
+        assert code == 0
+        assert calls == {"system_polyhedron": 1, "triangulate": 1}
+
     def test_report_determinism(self):
         cfg1 = parse_config(JOB_72)
         cfg2 = parse_config(JOB_72)

@@ -147,6 +147,19 @@ class TestNondegeneracy:
         assert all(g.evaluate_mod(w.point, 3) == 0 for g in faces)
         assert jacobian_rank(faces, w.point, ctx) == w.rank < 1
 
+    @pytest.mark.parametrize("at_origin", [False, True])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("make", [sys71, degenerate_curve])
+    def test_supplied_subdivision_agrees(self, make, p, at_origin):
+        s, ctx = make(), PrimeContext(p)
+        built = check_nondegenerate(s, ctx, at_origin=at_origin)
+        sub = dual_subdivision(s)
+        given = check_nondegenerate(s, ctx, at_origin=at_origin, subdivision=sub)
+        assert given.subdivision is sub and built.subdivision == sub
+        assert (given.ok, given.scope, given.witness, given.directions_checked) == (
+            built.ok, built.scope, built.witness, built.directions_checked
+        )
+
 
 class TestGoodReduction:
     def test_linear_head(self):

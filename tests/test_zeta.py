@@ -128,6 +128,13 @@ class TestZeta:
         for c in rep.contributions:
             assert all(x > 0 for x in c.cone.interior_point())
 
+    @pytest.mark.parametrize("engine", [zeta_full, zeta_origin])
+    def test_supplied_subdivision_agrees(self, engine):
+        s, ctx = sys71(), PrimeContext(5)
+        built = engine(s, ctx)
+        given = engine(s, ctx, subdivision=dual_subdivision(s))
+        assert given == built  # value, L0, contributions, candidate and actual poles
+
     def test_product_invariant(self):
         rep = zeta_origin(sys71(), PrimeContext(5))
         for c in rep.contributions:
