@@ -154,14 +154,20 @@ def run(config: JobConfig) -> tuple[dict, int]:
         "checks": [],
     }
 
+    # A depth or level below 1 leaves a check nothing to compare but the
+    # always-equal m = 0 row; a budget below 1 admits no enumeration at all.
+    limits = {"depth": config.oracle_depth, "expsum_levels": config.expsum_levels, "budget": config.budget}
+    for key, value in limits.items():
+        if value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
     try:
         polys = [parse_polynomial(text, config.variables) for text in config.polys]
         sys_ = PolySystem(len(config.variables), polys)
+        ctx = PrimeContext(config.prime)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if mode != "check" and sys_.l < 2:
         raise ConfigError(f"mode {mode!r} needs 2 <= l <= n, got l={sys_.l}")
-    ctx = PrimeContext(config.prime)
     budget = config.budget
 
     conv = is_convenient(sys_)

@@ -75,14 +75,13 @@ class Cone:
 
     def contains_relint(self, point) -> bool:
         """Exact test: is the point in the relative interior of this cone?"""
-        pt = [Fraction(x) for x in point]
         if self.simplicial:
-            sol = _solve_in_span(self.generators, pt)
+            sol = _solve_in_span(self.generators, point)
             return sol is not None and all(c > 0 for c in sol)
-        if _solve_in_span(self.generators, pt) is None:
+        if _solve_in_span(self.generators, point) is None:
             return False
         for normal in _cone_facet_normals(self.generators):
-            if sum(Fraction(u) * x for u, x in zip(normal, pt)) <= 0:
+            if sum(u * x for u, x in zip(normal, point)) <= 0:
                 return False
         return True
 
@@ -109,9 +108,7 @@ class Fan:
 
 def _solve_in_span(gens, point) -> tuple[Fraction, ...] | None:
     """Coefficients of point in the generator span (columns), or None."""
-    n = len(point)
-    cols = [[Fraction(g[i]) for g in gens] for i in range(n)]
-    return linalg.solve(cols, point)
+    return linalg.solve([[g[i] for g in gens] for i in range(len(point))], point)
 
 
 def _cone_facet_normals(gens) -> list[tuple[Fraction, ...]]:
@@ -132,7 +129,7 @@ def _cone_facet_normals(gens) -> list[tuple[Fraction, ...]]:
         rows = [[sum(s[i] * g[i] for i in range(len(s))) for g in gens] for s in subset]
         for mu in linalg.nullspace(rows):
             u = tuple(
-                sum(Fraction(m) * g[i] for m, g in zip(mu, gens)) for i in range(len(gens[0]))
+                sum(m * g[i] for m, g in zip(mu, gens)) for i in range(len(gens[0]))
             )
             if all(x == 0 for x in u):
                 continue
@@ -315,13 +312,13 @@ def barycenter(cone: Cone) -> Ray:
     return cone.interior_point()
 
 
-def _pp_group(cone: Cone) -> list[tuple[Fraction, ...]]:
-    """Coefficient vectors mu in [0,1)^e with sum mu_i a_i integral.
+def _pp_group(cone: Cone) -> tuple[int, set[tuple[int, ...]]]:
+    """The group B^-1 Z^e / Z^e as ``(D, group)``: its members are nu / D.
 
-    These form the finite group L/Z^e where L = {mu : A mu integral}; it is
-    generated modulo 1 by the columns of the inverse of a full-rank square
-    submatrix of the generator matrix, filtered for integrality of the full
-    product.
+    B is a full-rank square row-submatrix of the generator matrix A and
+    D = |det B|, so the group is generated modulo D by the columns of
+    D B^-1.  It contains L/Z^e, where L = {mu : A mu integral}; the members
+    with A nu = 0 mod D are exactly L/Z^e.
     """
     gens = cone.generators
     e = len(gens)
@@ -334,29 +331,23 @@ def _pp_group(cone: Cone) -> list[tuple[Fraction, ...]]:
             rows_idx = trial
         if len(rows_idx) == e:
             break
-    sub = [[Fraction(gens[k][r]) for k in range(e)] for r in rows_idx]
+    sub = [[gens[k][r] for k in range(e)] for r in rows_idx]
+    D = abs(linalg.det(sub).numerator)
     inv = linalg.invert(sub)
-    assert inv is not None
-    generators_mod1 = [tuple(row[j] % 1 for row in inv) for j in range(e)]
+    steps = [tuple(int(row[j] * D) % D for row in inv) for j in range(e)]
 
-    group = {(Fraction(0),) * e}
+    group = {(0,) * e}
     frontier = list(group)
     while frontier:
         nxt = []
-        for mu in frontier:
-            for g in generators_mod1:
-                cand = tuple((a + b) % 1 for a, b in zip(mu, g))
+        for nu in frontier:
+            for s in steps:
+                cand = tuple((a + b) % D for a, b in zip(nu, s))
                 if cand not in group:
                     group.add(cand)
                     nxt.append(cand)
         frontier = nxt
-
-    out = []
-    for mu in sorted(group):
-        point = [sum(m * Fraction(g[i]) for m, g in zip(mu, gens)) for i in range(n)]
-        if all(x.denominator == 1 for x in point):
-            out.append(mu)
-    return out
+    return D, group
 
 
 def parallelepiped_points(cone: Cone) -> list[Ray]:
@@ -368,13 +359,12 @@ def parallelepiped_points_with_coords(cone: Cone) -> list[tuple[Ray, tuple[Fract
     """Same, returning the coefficient vector mu of each point."""
     if not cone.simplicial:
         raise ValueError("parallelepiped points are defined for simplicial cones")
+    D, group = _pp_group(cone)
     out = []
-    for mu in _pp_group(cone):
-        h = tuple(
-            int(sum(m * Fraction(g[i]) for m, g in zip(mu, cone.generators)))
-            for i in range(cone.n)
-        )
-        out.append((h, mu))
+    for nu in group:
+        point = [sum(v * g[i] for v, g in zip(nu, cone.generators)) for i in range(cone.n)]
+        if all(x % D == 0 for x in point):
+            out.append((tuple(x // D for x in point), tuple(Fraction(v, D) for v in nu)))
     return sorted(out)
 
 
@@ -386,6 +376,5 @@ def is_simple(cone: Cone) -> bool:
     e = len(gens)
     g = 0
     for rows in combinations(range(cone.n), e):
-        minor = linalg.det([[Fraction(gens[k][r]) for k in range(e)] for r in rows])
-        g = gcd(g, abs(int(minor)))
+        g = gcd(g, linalg.det([[gens[k][r] for k in range(e)] for r in rows]).numerator)
     return g == 1

@@ -1,71 +1,89 @@
 """Exact linear algebra over the rationals, sized for desk-scale problems.
 
-Everything here runs Gaussian elimination on lists of ``Fraction`` rows.
-Dimensions stay in the single digits throughout the package, so no effort
-is spent on pivoting strategies or sparsity.
+Every result comes from one fraction-free Gauss-Jordan elimination over the
+integers (Bareiss 1968): each rational input row is scaled to integers by the
+lcm of its denominators, and every division in the elimination is exact, so no
+``Fraction`` arithmetic runs inside it.  Dimensions stay in the single digits
+throughout the package, so no effort is spent on pivoting strategies or
+sparsity.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vector = tuple[Fraction, ...]
 
 
-def _to_fractions(rows) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _eliminate(rows) -> tuple[list[list[int]], list[int], int, int, int]:
+    """Fraction-free Gauss-Jordan elimination of a rational matrix.
+
+    Returns ``(m, pivots, d, sign, scale)``: the eliminated integer matrix,
+    whose pivot in row ``r`` sits in column ``pivots[r]`` and equals ``d`` for
+    every pivot row (rows past the rank are zero), so ``m / d`` is the reduced
+    row echelon form; ``sign`` of the row permutation; and the product of the
+    row scales.  For a square matrix of full rank, ``sign * d`` is the
+    determinant of the scaled matrix.
+    """
+    m: list[list[int]] = []
+    scale = 1
+    for row in rows:
+        if all(type(x) is int for x in row):
+            m.append(list(row))
+            continue
+        fracs = [Fraction(x) for x in row]
+        s = lcm(*(f.denominator for f in fracs))
+        m.append([f.numerator * (s // f.denominator) for f in fracs])
+        scale *= s
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        p = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        prow = m[r]
+        piv = prow[col]
+        # Every entry is a minor of the scaled input (Sylvester's identity),
+        # so the division by the previous pivot is exact.
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[col]
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(row, prow)]
+        pivots.append(col)
+        prev = piv
+    return m, pivots, prev, sign, scale
 
 
 def row_echelon(rows) -> list[list[Fraction]]:
     """Reduced row echelon form; input is not modified."""
-    m = _to_fractions(rows)
-    if not m:
-        return m
-    ncols = len(m[0])
-    piv = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(piv, len(m)) if m[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[piv], m[pivot_row] = m[pivot_row], m[piv]
-        inv = m[piv][col]
-        m[piv] = [x / inv for x in m[piv]]
-        for r in range(len(m)):
-            if r != piv and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[piv])]
-        piv += 1
-        if piv == len(m):
-            break
-    return m
+    m, _, d, _, _ = _eliminate(rows)
+    return [[Fraction(x, d) for x in row] for row in m]
 
 
 def rank(rows) -> int:
-    m = row_echelon(rows)
-    return sum(1 for row in m if any(x != 0 for x in row))
+    return len(_eliminate(rows)[1])
 
 
 def nullspace(rows) -> list[Vector]:
     """Basis of the right kernel {x : A x = 0}."""
-    m = _to_fractions(rows)
+    m, pivots, d, _, _ = _eliminate(rows)
     if not m:
         return []
     ncols = len(m[0])
-    red = row_echelon(m)
-    pivots: dict[int, int] = {}
-    for r, row in enumerate(red):
-        for c, x in enumerate(row):
-            if x != 0:
-                pivots[c] = r
-                break
-    free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free_cols:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for c, r in pivots.items():
-            v[c] = -red[r][fc]
+        for r, c in enumerate(pivots):
+            v[c] = Fraction(-m[r][fc], d)
         basis.append(tuple(v))
     return basis
 
@@ -75,13 +93,12 @@ def solve(rows, rhs) -> Vector | None:
 
     If the system is underdetermined the free variables are set to 0.
     """
-    m = _to_fractions(rows)
-    if not m:
+    rows = [list(row) for row in rows]
+    if not rows:
         return None
-    b = [Fraction(x) for x in rhs]
-    ncols = len(m[0])
-    aug = [row + [bv] for row, bv in zip(m, b)]
-    red = row_echelon(aug)
+    b = list(rhs)
+    ncols = len(rows[0])
+    red = row_echelon([row + [bv] for row, bv in zip(rows, b)])
     sol = [Fraction(0)] * ncols
     for row in red:
         lead = next((c for c, x in enumerate(row) if x != 0), None)
@@ -89,13 +106,10 @@ def solve(rows, rhs) -> Vector | None:
             continue
         if lead == ncols:
             return None
+        # Every other entry of sol is still 0 here: later pivots are set
+        # afterwards and free variables stay 0.
         sol[lead] = row[ncols]
-        # Free columns stay 0, so subtract nothing further.
-        for c in range(lead + 1, ncols):
-            if row[c] != 0 and sol[c] != 0:
-                sol[lead] -= row[c] * sol[c]
-    # Solutions are filled bottom-up only when free vars are zero; verify.
-    for row, bv in zip(m, b):
+    for row, bv in zip(rows, b):
         if sum(a * x for a, x in zip(row, sol)) != bv:
             return None
     return tuple(sol)
@@ -103,12 +117,11 @@ def solve(rows, rhs) -> Vector | None:
 
 def invert(rows) -> list[list[Fraction]] | None:
     """Inverse of a square matrix, or None if singular."""
-    m = _to_fractions(rows)
-    n = len(m)
-    if any(len(row) != n for row in m):
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    red = row_echelon(aug)
+    red = row_echelon([row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
     for i in range(n):
         if red[i][i] != 1 or any(red[i][j] != 0 for j in range(n) if j != i):
             return None
@@ -116,27 +129,15 @@ def invert(rows) -> list[list[Fraction]] | None:
 
 
 def det(rows) -> Fraction:
-    """Determinant by fraction-free-ish elimination (exact)."""
-    m = _to_fractions(rows)
-    n = len(m)
-    if any(len(row) != n for row in m):
+    """Determinant (exact)."""
+    rows = list(rows)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
-    sign = 1
-    d = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        d *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] / inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return sign * d
+    _, pivots, d, sign, scale = _eliminate(rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * d, scale)
 
 
 def primitive_integer_vector(vec) -> tuple[int, ...]:
@@ -147,13 +148,9 @@ def primitive_integer_vector(vec) -> tuple[int, ...]:
     fracs = [Fraction(x) for x in vec]
     if all(f == 0 for f in fracs):
         raise ValueError("zero vector has no primitive representative")
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    denom_lcm = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (denom_lcm // f.denominator) for f in fracs]
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints if x != 0)
     if lead < 0:

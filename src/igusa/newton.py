@@ -104,12 +104,8 @@ def _enumerate_facets(n: int, pts: list[Exponent]) -> list[Facet]:
             base = subset[0]
             point_dirs = [[mi - bi for mi, bi in zip(m, base)] for m in subset[1:]]
             for axes in combinations(range(n), n - k):
-                dirs = point_dirs + [list(unit[j]) for j in axes]
-                if not dirs:
-                    continue
-                if linalg.rank(dirs) != n - 1:
-                    continue
-                kernel = linalg.nullspace(dirs)
+                # n - 1 rows, so rank n - 1 <=> a one-dimensional kernel.
+                kernel = linalg.nullspace(point_dirs + [list(unit[j]) for j in axes])
                 if len(kernel) != 1:
                     continue
                 normal = linalg.primitive_integer_vector(kernel[0])

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import fan as fan_mod
 from . import newton
@@ -153,9 +154,9 @@ def candidate_poles(sys: PolySystem, fan: Fan | None = None) -> CandidatePoles:
             continue
         numer = sum(ray) - sum(newton.support_min(s, ray) for s in supports[:-1])
         re = Fraction(-numer, d_l)
-        if re in lines and lines[re].rays is not None:
+        if re in lines:
             line = lines[re]
-            line.period = _lcm(line.period, d_l)
+            line.period = lcm(line.period, d_l)
             line.rays.append(ray)
         else:
             lines[re] = CandidateLine(re, d_l, [ray])
@@ -163,12 +164,6 @@ def candidate_poles(sys: PolySystem, fan: Fan | None = None) -> CandidatePoles:
             gamma = re
     ordered = [lines[k] for k in sorted(lines, reverse=True)]
     return CandidatePoles(ordered, gamma, sys.n - sys.l + 1)
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 def _require_engine_hypotheses(sys: PolySystem, ctx: PrimeContext, at_origin: bool, budget: int, subdivision: Fan | None) -> NondegCertificate:

@@ -131,6 +131,32 @@ class TestRun:
         residuals = report["oracle"]["expsum"]["prop3_residuals"]
         assert all(r["residual"] < 1e-9 for r in residuals)
 
+    @pytest.mark.parametrize("prime", [9, 2, 1, -5])
+    def test_bad_prime_is_config_error(self, prime):
+        from igusa.cli import ConfigError
+
+        cfg = parse_config(JOB_72)
+        cfg.prime = prime
+        with pytest.raises(ConfigError, match="odd prime"):
+            run(cfg)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("oracle_depth", -1), ("oracle_depth", 0), ("expsum_levels", 0), ("expsum_levels", -2), ("budget", 0)],
+    )
+    def test_non_positive_limits_rejected_before_work(self, field, value, monkeypatch):
+        import igusa.cli as cli_mod
+        from igusa.cli import ConfigError
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the config was checked")
+
+        monkeypatch.setattr(cli_mod.counting, "check_nondegenerate", no_work)
+        cfg = parse_config(JOB_LINE)
+        setattr(cfg, field, value)
+        with pytest.raises(ConfigError, match="must be at least 1"):
+            run(cfg)
+
     @pytest.mark.parametrize("mode", ["zeta", "zeta0", "all", "check"])
     def test_one_subdivision_per_job(self, mode, monkeypatch):
         # The certificates, the fan section and the engine share one dual
@@ -255,3 +281,27 @@ class TestMain:
         path = _write(tmp_path, text)
         code = main(["zeta", "--input", path])
         assert code == 4
+
+    @pytest.mark.parametrize("where", ["flag", "job"])
+    def test_bad_prime_exit_1(self, tmp_path, capsys, where):
+        if where == "flag":
+            code = main(["zeta0", "--input", _write(tmp_path, JOB_72), "--prime", "9"])
+        else:
+            code = main(["zeta0", "--input", _write(tmp_path, JOB_72.replace("prime = 5", "prime = 9"))])
+        assert code == 1
+        detail = json.loads(capsys.readouterr().err)
+        assert detail["error"] == "ConfigError"
+        assert "odd prime" in detail["message"]
+
+    @pytest.mark.parametrize(
+        "args, job_line",
+        [(["--depth", "0"], None), (["--depth", "-1"], None), ([], "depth = 0"), ([], "expsum_levels = 0"),
+         ([], "budget = -3")],
+    )
+    def test_non_positive_limits_exit_1(self, tmp_path, capsys, args, job_line):
+        text = JOB_LINE if job_line is None else JOB_LINE.replace("depth = 3", job_line)
+        code = main(["all", "--input", _write(tmp_path, text), *args])
+        assert code == 1
+        detail = json.loads(capsys.readouterr().err)
+        assert detail["error"] == "ConfigError"
+        assert "must be at least 1" in detail["message"]

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from igusa.linalg import det, invert, nullspace, primitive_integer_vector, rank, solve
+from igusa.linalg import det, invert, nullspace, primitive_integer_vector, rank, row_echelon, solve
 
 
 def test_rank():
@@ -47,3 +48,99 @@ def test_primitive_integer_vector():
     assert primitive_integer_vector([0, Fraction(-5, 7)]) == (0, 1)
     with pytest.raises(ValueError):
         primitive_integer_vector([0, 0])
+
+
+def _corpus(seed=1968, count=240):
+    """Seeded matrices: wide, tall and square, integer and rational, with
+    zero rows and columns and rows that are combinations of others."""
+    rng = random.Random(seed)
+    out = [[[]], [[], []], [[0, 0, 0]], [[0], [0]]]
+    for t in range(count):
+        r = rng.randint(1, 5)
+        c = (r, rng.randint(r + 1, 7), rng.randint(1, max(1, r - 1)))[t % 3]
+        rational = t % 4 == 3
+        m = [
+            [
+                0 if rng.random() < 0.3
+                else Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rational
+                else rng.randint(-6, 6)
+                for _ in range(c)
+            ]
+            for _ in range(r)
+        ]
+        if r >= 2 and t % 5 == 0:
+            i, j = rng.sample(range(r), 2)
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            m[rng.randrange(r)] = [a * x + b * y for x, y in zip(m[i], m[j])]
+        if t % 7 == 0:
+            m[rng.randrange(r)] = [0] * c
+        if t % 11 == 0:
+            z = rng.randrange(c)
+            for row in m:
+                row[z] = 0
+        out.append(m)
+    return out
+
+
+def test_empty_input():
+    assert row_echelon([]) == []
+    assert rank([]) == 0
+    assert nullspace([]) == []
+    assert solve([], []) is None
+    assert invert([]) == []
+    assert det([]) == 1
+
+
+class TestAgainstSympy:
+    """Reference test: every exact result of the elimination kernel against
+    sympy's independent implementation, on the seeded corpus."""
+
+    @pytest.fixture
+    def sp(self):
+        return pytest.importorskip("sympy")
+
+    @staticmethod
+    def _frac(x) -> Fraction:
+        return Fraction(int(x.p), int(x.q))
+
+    @staticmethod
+    def _matrix(sp, m):
+        return sp.Matrix(len(m), len(m[0]), [sp.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                                             for row in m for x in row])
+
+    def _rows(self, mat):
+        return [[self._frac(mat[i, j]) for j in range(mat.cols)] for i in range(mat.rows)]
+
+    def test_row_echelon_rank_nullspace(self, sp):
+        for m in _corpus():
+            ref = self._matrix(sp, m)
+            assert row_echelon(m) == self._rows(ref.rref()[0]), m
+            assert rank(m) == ref.rank(), m
+            assert nullspace(m) == [tuple(self._frac(x) for x in v) for v in ref.nullspace()], m
+
+    def test_solve(self, sp):
+        rng = random.Random(7)
+        for m in _corpus():
+            ref = self._matrix(sp, m)
+            x0 = [rng.randint(-4, 4) for _ in m[0]]
+            consistent = [sum(a * x for a, x in zip(row, x0)) for row in m]
+            for rhs in (consistent, [rng.randint(-5, 5) for _ in m]):
+                try:
+                    sol, params = ref.gauss_jordan_solve(self._matrix(sp, [[v] for v in rhs]))
+                except ValueError:  # sympy: no solution
+                    assert solve(m, rhs) is None, (m, rhs)
+                    continue
+                sol = sol.subs({p: 0 for p in params})  # free variables at 0
+                assert solve(m, rhs) == tuple(self._frac(x) for x in sol), (m, rhs)
+
+    def test_det_invert(self, sp):
+        for m in _corpus():
+            ref = self._matrix(sp, m)
+            if ref.rows != ref.cols:
+                with pytest.raises(ValueError):
+                    det(m)
+                with pytest.raises(ValueError):
+                    invert(m)
+                continue
+            assert det(m) == self._frac(ref.det()), m
+            assert invert(m) == (None if ref.det() == 0 else self._rows(ref.inv())), m
