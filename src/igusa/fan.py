@@ -67,6 +67,10 @@ class Cone:
     def simplicial(self) -> bool:
         return self.dim == len(self.generators)
 
+    @cached_property
+    def facet_normals(self) -> list[tuple[Fraction, ...]]:
+        return _cone_facet_normals(self.generators)
+
     def sorted_key(self):
         return (len(self.generators), self.generators)
 
@@ -80,7 +84,7 @@ class Cone:
             return sol is not None and all(c > 0 for c in sol)
         if _solve_in_span(self.generators, point) is None:
             return False
-        for normal in _cone_facet_normals(self.generators):
+        for normal in self.facet_normals:
             if sum(u * x for u, x in zip(normal, point)) <= 0:
                 return False
         return True
@@ -261,7 +265,7 @@ def triangulate(fan: Fan) -> Fan:
         if cone.simplicial:
             out.append(cone)
             continue
-        pieces = _pulling_triangulation(list(cone.generators), cone.dim)
+        pieces = _pulling_triangulation(list(cone.generators), cone.dim, cone.facet_normals)
         emitted = set()
         for piece in pieces:
             emitted.add(tuple(piece))
@@ -279,17 +283,18 @@ def triangulate(fan: Fan) -> Fan:
     return Fan(fan.n, out, skeleton=list(fan.skeleton))
 
 
-def _pulling_triangulation(gens: list[Ray], dim: int) -> list[tuple[Ray, ...]]:
+def _pulling_triangulation(gens: list[Ray], dim: int, normals=None) -> list[tuple[Ray, ...]]:
     """Split cone(gens) into simplicial cones spanned by subsets of gens.
 
     Pulls from the first generator: cone over the facets not containing it.
-    Deterministic in the generator order.
+    Deterministic in the generator order.  ``normals`` are the cone's facet
+    normals when the caller already has them.
     """
     if len(gens) == dim:
         return [tuple(sorted(gens))]
     apex = gens[0]
     pieces = []
-    for normal in _cone_facet_normals(gens):
+    for normal in normals or _cone_facet_normals(gens):
         side_apex = sum(u * x for u, x in zip(normal, apex))
         if side_apex == 0:
             continue

@@ -1,15 +1,23 @@
 """Independent brute-force ground truth.
 
 Congruence counts N_m, exponential sums mod p^m, local delta-integrals,
-character-twisted coefficient extraction, Gaussian sums, and the
-stationary-phase residual.  Residue arithmetic is exact (the int64 grid
-evaluator of ``polycore``, which refuses moduli that could overflow);
-complex doubles appear only in the final exponential/summation step, with
-tolerance 1e-9 at <= 1e7 summands.
+character-twisted coefficients, Gaussian sums, and the stationary-phase
+residual.  Residue arithmetic is exact (the int64 grid evaluator of
+``polycore``, which refuses moduli that could overflow); complex doubles
+appear only in the final exponential/summation step, with tolerance 1e-9.
 
-Nothing in this module consults the explicit-formula engine: these are the
-quantities the engine is tested against.  The engine's certificates and
-torus counts share the grid evaluator, not the formula.
+Every quantity is taken over the head variety f_1 = ... = f_{l-1} = 0
+mod p^m, enumerated as a lift tree: a zero mod p^m reduces to a zero mod
+p^{m-1}, so level m tests only the p^n lifts x + p^{m-1} d of the level
+m-1 zeros (level 1 is the whole p^n grid) and keeps those that still
+vanish.  That is the reduction map Z/p^m -> Z/p^{m-1}, not Hensel lifting:
+no smoothness is assumed and every residue that can vanish is tested.  The
+enumeration budget counts the points each level actually tests.
+
+Nothing in this module consults the explicit-formula engine (no Newton
+polyhedron, no fan): these are the quantities the engine is tested
+against.  The engine's certificates and torus counts share the grid
+evaluator, not the formula.
 """
 
 from __future__ import annotations
@@ -17,21 +25,77 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from .errors import DEFAULT_ENUM_BUDGET, check_budget
-from .polycore import PolySystem, PrimeContext, eval_on_grid, face_function, grid_chunks, grid_zeros
+from .polycore import GRID_CHUNK, PolySystem, PrimeContext, eval_on_grid, face_function, grid_zeros
 from .ratfun import FactoredRationalFunction
 
 
-def _last_on_head(sys: PolySystem, axis, modulus: int, head_modulus: int):
-    """Per grid chunk of axis^n, f_l mod modulus at the points where
-    f_1, ..., f_{l-1} vanish mod head_modulus; chunks with none are skipped."""
-    for coords in grid_chunks(axis, sys.n):
-        head = grid_zeros(sys.polys[:-1], coords, head_modulus)
-        if len(head[0]):
-            yield eval_on_grid(sys.polys[-1], head, modulus)
+def _lifts(base: list[np.ndarray], modulus: int, width: int):
+    """Yield, at most GRID_CHUNK points at a time, the points x + modulus*d
+    for x in ``base`` and d in [0, width)^n.
+
+    Always yields at least one (possibly empty) chunk, so an empty base
+    lifts to an empty level.
+    """
+    n = len(base)
+    size = width**n
+    total = len(base[0]) * size
+    for start in range(0, total or 1, GRID_CHUNK):
+        point, digit = np.divmod(np.arange(start, min(start + GRID_CHUNK, total)), size)
+        digits = np.unravel_index(digit, (width,) * n, order="F")
+        yield [x[point] + modulus * d for x, d in zip(base, digits)]
+
+
+def _head_levels(sys: PolySystem, p: int, budget: int, what: str):
+    """Yield H_0, H_1, ...: H_m holds, as coordinate arrays mod p^m, the
+    points where f_1, ..., f_{l-1} vanish mod p^m.
+
+    H_0 is the single point mod 1.  Before each level the budget is checked
+    on the |H_{m-1}| p^n lifts that level tests.
+    """
+    level = [np.zeros(1, dtype=np.int64)] * sys.n
+    modulus = 1
+    while True:
+        yield level
+        check_budget(len(level[0]) * p**sys.n, budget, what)
+        chunks = [grid_zeros(sys.polys[:-1], c, modulus * p) for c in _lifts(level, modulus, p)]
+        modulus *= p
+        level = [np.concatenate(axis) for axis in zip(*chunks)]
+
+
+def _last_at(sys: PolySystem, p: int, m: int, budget: int, what: str) -> np.ndarray:
+    """f_l mod p^m at the points of H_m."""
+    level = next(islice(_head_levels(sys, p, budget, what), m, None))
+    return eval_on_grid(sys.polys[-1], level, p**m)
+
+
+def _last_on_levels(sys: PolySystem, p: int, top: int, budget: int, what: str):
+    """f_l mod p^m at the points of H_m, for m = 0, ..., top: one tree walk."""
+    levels = _head_levels(sys, p, budget, what)
+    for m in range(top + 1):
+        yield eval_on_grid(sys.polys[-1], next(levels), p**m)
+
+
+def _check_unit(u: int, p: int):
+    if u % p == 0:
+        raise ValueError("u must be a unit")
+
+
+def _exp_value(fl: np.ndarray, modulus: int, u: int, norm: Fraction) -> complex:
+    """norm * sum over residues r of c_r e^{2 pi i u r / modulus}, with c_r
+    the number of points where f_l = r.
+
+    A function of the exact counts alone, summed in residue order, so it
+    does not depend on the order in which the points were enumerated.
+    """
+    residues, counts = np.unique(fl, return_counts=True)
+    phases = ((u % modulus) * residues) % modulus
+    total = (counts * np.exp(2j * np.pi * phases / modulus)).sum()
+    return complex(total * float(norm))
 
 
 @dataclass
@@ -55,20 +119,12 @@ def count_Nm(sys: PolySystem, ctx: PrimeContext, m: int, budget: int = DEFAULT_E
     identity; without it, it is still the raw count of the congruence
     system (callers label it accordingly).
     """
-    if m == 0:
-        return 1
-    modulus = ctx.p**m
-    check_budget(modulus**sys.n, budget, "congruence enumeration")
-    total = 0
-    for coords in grid_chunks(np.arange(modulus), sys.n):
-        total += len(grid_zeros(sys.polys, coords, modulus)[0])
-    return total
+    return int((_last_at(sys, ctx.p, m, budget, "congruence enumeration") == 0).sum())
 
 
 def congruence_table(sys: PolySystem, ctx: PrimeContext, depth: int, budget: int = DEFAULT_ENUM_BUDGET) -> CongruenceTable:
-    counts = {0: 1}
-    for m in range(1, depth + 1):
-        counts[m] = count_Nm(sys, ctx, m, budget)
+    levels = _last_on_levels(sys, ctx.p, depth, budget, "congruence enumeration")
+    counts = {m: int((fl == 0).sum()) for m, fl in enumerate(levels)}
     return CongruenceTable(ctx.p, depth, counts)
 
 
@@ -80,20 +136,20 @@ def exp_sum(sys: PolySystem, ctx: PrimeContext, m: int, u: int = 1, budget: int 
     if m == 0:
         return complex(1.0)
     p = ctx.p
-    modulus = p**m
-    if u % p == 0:
-        raise ValueError("u must be a unit")
-    check_budget(modulus**sys.n, budget, "exponential-sum enumeration")
-    total = 0j
-    for fl in _last_on_head(sys, np.arange(modulus), modulus, modulus):
-        phases = ((u % modulus) * fl) % modulus
-        total += np.exp(2j * np.pi * phases / modulus).sum()
-    norm = Fraction(1, p ** (m * (sys.n - sys.l + 1)))
-    return complex(total * float(norm))
+    _check_unit(u, p)
+    fl = _last_at(sys, p, m, budget, "exponential-sum enumeration")
+    return _exp_value(fl, p**m, u, Fraction(1, p ** (m * (sys.n - sys.l + 1))))
 
 
 def expsum_table(sys: PolySystem, ctx: PrimeContext, levels: int, u: int = 1, budget: int = DEFAULT_ENUM_BUDGET) -> list[ExpSumValue]:
-    return [ExpSumValue(m, u, exp_sum(sys, ctx, m, u, budget)) for m in range(levels + 1)]
+    p = ctx.p
+    if levels >= 1:
+        _check_unit(u, p)
+    fls = _last_on_levels(sys, p, levels, budget, "exponential-sum enumeration")
+    return [
+        ExpSumValue(m, u, _exp_value(fl, p**m, u, Fraction(1, p ** (m * (sys.n - sys.l + 1)))))
+        for m, fl in enumerate(fls)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +248,15 @@ def gaussian_sum(chi: MultChar) -> complex:
 def _ac_counts(sys: PolySystem, ctx: PrimeContext, k: int, budget: int) -> dict[int, int]:
     """Counts, by angular component, of y mod p^{k+1} on the head variety
     with ord(f_l(y)) = k."""
-    p = ctx.p
-    modulus = p ** (k + 1)
-    check_budget(modulus**sys.n, budget, "coefficient enumeration")
+    return _ac_from(_last_at(sys, ctx.p, k + 1, budget, "coefficient enumeration"), ctx.p, k)
+
+
+def _ac_from(fl: np.ndarray, p: int, k: int) -> dict[int, int]:
+    """Counts, by angular component, of the values in fl of order k."""
     pk = p**k
-    counts: dict[int, int] = {}
-    for fl in _last_on_head(sys, np.arange(modulus), modulus, modulus):
-        ord_k = (fl % pk == 0) & ((fl // pk) % p != 0)
-        ac = (fl[ord_k] // pk) % p
-        binc = np.bincount(ac, minlength=p)
-        for unit in range(1, p):
-            if binc[unit]:
-                counts[unit] = counts.get(unit, 0) + int(binc[unit])
-    return counts
+    ord_k = (fl % pk == 0) & ((fl // pk) % p != 0)
+    binc = np.bincount((fl[ord_k] // pk) % p, minlength=p)
+    return {unit: int(binc[unit]) for unit in range(1, p) if binc[unit]}
 
 
 def coeff_extract(sys: PolySystem, ctx: PrimeContext, k: int, chi: MultChar, budget: int = DEFAULT_ENUM_BUDGET) -> complex:
@@ -249,11 +301,13 @@ def prop3_residual(sys: PolySystem, ctx: PrimeContext, m: int, u: int = 1, budge
     if m == 0:
         return 0.0
     p = ctx.p
-    lhs = exp_sum(sys, ctx, m, u, budget)
-    nm = count_Nm(sys, ctx, m, budget)
-    # Every c_{m-1}(chi) weighs the same angular-component counts.
-    counts = _ac_counts(sys, ctx, m - 1, budget)
+    _check_unit(u, p)
+    # E, N_m and every c_{m-1}(chi) are read off one evaluation of f_l on H_m.
+    fl = _last_at(sys, p, m, budget, "exponential-sum enumeration")
     norm = Fraction(1, p ** (m * (sys.n - sys.l + 1)))
+    lhs = _exp_value(fl, p**m, u, norm)
+    nm = int((fl == 0).sum())
+    counts = _ac_from(fl, p, m - 1)
     c_triv = sum(counts.values()) * norm
     rhs = complex(float(nm * norm - c_triv / (p - 1)))
     for chi in all_characters(p):
@@ -344,25 +398,33 @@ def deltaR_measures(
         raise ValueError(f"k_max={k_max} not determined mod p^{level}")
     if level < r + 2:
         raise ValueError("need level >= r + 2 for the stabilisation diagnostic")
-    measures = _delta_measures_at(sys, ctx, r, level, region, k_max, budget)
-    measures_next = _delta_measures_at(sys, ctx, r + 1, level, region, k_max, budget)
+    heads = islice(_head_levels(sys, ctx.p, budget, "delta_r enumeration"), r, r + 2)
+    measures, measures_next = (
+        _delta_measures_at(sys, ctx, r + i, head, level, region, k_max, budget)
+        for i, head in enumerate(heads)
+    )
     return DeltaRReport(
         r, level, region, measures, measures_next, measures == measures_next
     )
 
 
-def _delta_measures_at(sys, ctx, r, level, region, k_max, budget) -> dict[int, Fraction]:
+def _delta_measures_at(sys, ctx, r, head, level, region, k_max, budget) -> dict[int, Fraction]:
+    """Counts of ord f_l = k over every lift to p^level of ``head`` = H_r
+    (ord f_i >= r for i < l is vanishing mod p^r), scaled by q^{r(l-1)}."""
     p = ctx.p
-    modulus = p**level
-    if level < r + 1:
-        raise ValueError("need level >= r + 1")
-    step = p if region == "origin" else 1
-    check_budget((modulus // step) ** sys.n, budget, "delta_r enumeration")
-    pr = p**r  # divides modulus: ord f_i >= r is vanishing mod pr
-    counts = {k: 0 for k in range(k_max + 1)}
-    for fl in _last_on_head(sys, np.arange(0, modulus, step), modulus, pr):
-        for k in range(k_max + 1):
-            pk = p**k
-            counts[k] += int(((fl % pk == 0) & ((fl // pk) % p != 0)).sum())
-    scale = Fraction(p ** (r * (sys.l - 1)), modulus**sys.n)
+    modulus = p**r
+    if region == "origin":
+        keep = np.logical_and.reduce([x % p == 0 for x in head])
+        head = [x[keep] for x in head]
+        # Mod 1 the origin is not yet a residue class: the one point of H_0
+        # stands for 0 mod p.
+        modulus = max(modulus, p)
+    width = p**level // modulus
+    check_budget(len(head[0]) * width**sys.n, budget, "delta_r enumeration")
+    counts = dict.fromkeys(range(k_max + 1), 0)
+    for coords in _lifts(head, modulus, width):
+        fl = eval_on_grid(sys.polys[-1], coords, p**level)
+        for k in counts:
+            counts[k] += sum(_ac_from(fl, p, k).values())
+    scale = Fraction(p ** (r * (sys.l - 1)), p ** (level * sys.n))
     return {k: scale * c for k, c in counts.items()}

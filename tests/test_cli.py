@@ -239,6 +239,12 @@ class TestRun:
 
 
 class TestMain:
+    def test_readme_job_exit_0(self, tmp_path):
+        # Ex. 7.1 at p = 5 with exponential sums to m = 4: the head tree tests
+        # 125 * 5^6 points at level 4, where the full grid had 5^12.
+        job = JOB_71.replace("depth = 2", "depth = 3\nexpsum_levels = 4")
+        assert main(["all", "--input", _write(tmp_path, job)]) == 0
+
     def test_cli_zeta0(self, tmp_path, capsys):
         path = _write(tmp_path, JOB_72)
         out_json = tmp_path / "report.json"

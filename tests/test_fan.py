@@ -150,3 +150,29 @@ class TestConeData:
     def test_primitive_generators_required(self):
         with pytest.raises(ValueError):
             Cone(((2, 4),))
+
+
+def test_facet_normals_once_per_cone(monkeypatch):
+    # Ex. 7.1 at p = 23, `igusa zeta`: triangulating the fan asks each
+    # non-simplicial class for its facet normals many times.
+    import collections
+
+    import igusa.fan as fan_mod
+    from igusa.cli import parse_config, run
+    from igusa.counting import check_nondegenerate
+    from igusa.polycore import PrimeContext
+
+    subdivision = check_nondegenerate(sys71(), PrimeContext(23)).subdivision
+    expected = {c.generators for c in subdivision.cones if not c.simplicial}
+    calls = collections.Counter()
+    real = fan_mod._cone_facet_normals
+
+    def shim(gens):
+        calls[tuple(gens)] += 1
+        return real(gens)
+
+    monkeypatch.setattr(fan_mod, "_cone_facet_normals", shim)
+    cfg = parse_config("vars = x, y, z\nprime = 23\n[polys]\nx+y-z\nx^8+y^8+z^8+x^2*y^2*z^2\n")
+    cfg.mode = "zeta"
+    assert run(cfg)[1] == 0
+    assert len(expected) == 3 and calls == dict.fromkeys(expected, 1)

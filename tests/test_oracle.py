@@ -1,9 +1,13 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from igusa.cli import parse_config, run
+from igusa.errors import BudgetExceededError
 from igusa.oracle import (
     MultChar,
     all_characters,
@@ -12,11 +16,12 @@ from igusa.oracle import (
     count_Nm,
     deltaR_measures,
     exp_sum,
+    expsum_table,
     gaussian_sum,
     lemma1A_eval,
     prop3_residual,
 )
-from igusa.polycore import PolySystem, PrimeContext, evaluate_mod, parse_polynomial
+from igusa.polycore import IntPolynomial, PolySystem, PrimeContext, eval_on_grid, evaluate_mod, parse_polynomial
 
 V2 = ["x", "y"]
 V3 = ["x", "y", "z"]
@@ -289,3 +294,193 @@ class TestDeltaR:
     def test_k_beyond_level_rejected(self):
         with pytest.raises(ValueError):
             deltaR_measures(sys_line(), PrimeContext(3), r=2, level=4, k_max=4)
+
+
+# ---------------------------------------------------------------------------
+# The lift tree against a full-grid reference
+# ---------------------------------------------------------------------------
+
+
+def _full_grid(n, modulus, step=1):
+    """Every point of (step Z / modulus Z)^n, as int64 coordinate arrays."""
+    axes = np.meshgrid(*[np.arange(0, modulus, step, dtype=np.int64)] * n, indexing="ij")
+    return [a.ravel() for a in axes]
+
+
+def _ref_last_on_head(s, modulus, head_modulus, step=1):
+    """f_l mod modulus at every grid point where the head vanishes mod head_modulus."""
+    coords = _full_grid(s.n, modulus, step)
+    for f in s.polys[:-1]:
+        keep = eval_on_grid(f, coords, head_modulus) == 0
+        coords = [x[keep] for x in coords]
+    return eval_on_grid(s.polys[-1], coords, modulus)
+
+
+def _ref_has_order(fl, p, k):
+    pk = p**k
+    return (fl % pk == 0) & ((fl // pk) % p != 0)
+
+
+def _ref_ac_counts(s, p, k):
+    fl = _ref_last_on_head(s, p ** (k + 1), p ** (k + 1))
+    ac = (fl[_ref_has_order(fl, p, k)] // p**k) % p
+    return {unit: int((ac == unit).sum()) for unit in range(1, p) if (ac == unit).any()}
+
+
+def _ref_exp_sum(s, p, m, u):
+    mod = p**m
+    fl = _ref_last_on_head(s, mod, mod)
+    return complex(np.exp(2j * np.pi * ((u * fl) % mod) / mod).sum()) / p ** (m * (s.n - s.l + 1))
+
+
+def _ref_delta(s, p, r, level, region, k_max):
+    mod = p**level
+    fl = _ref_last_on_head(s, mod, p**r, p if region == "origin" else 1)
+    scale = Fraction(p ** (r * (s.l - 1)), mod**s.n)
+    return {k: scale * int(_ref_has_order(fl, p, k).sum()) for k in range(k_max + 1)}
+
+
+def _random_poly(rng, n):
+    """Up to four nonconstant terms of degree <= 2 per variable, nonzero
+    coefficients in [-3, 3]."""
+    terms = {}
+    while not terms:
+        for _ in range(rng.randint(1, 4)):
+            exps = tuple(rng.randint(0, 2) for _ in range(n))
+            if any(exps):
+                terms[exps] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return IntPolynomial(n, terms)
+
+
+def _tree_cases():
+    """(label, system, p): seeded random systems and the named heads."""
+    rng = random.Random(20091)
+    cases = []
+    for n, l in ((2, 2), (3, 2), (3, 3)):
+        for p in (3, 5, 7):
+            for i in range(2):
+                polys = [_random_poly(rng, n) for _ in range(l)]
+                cases.append((f"random-n{n}-l{l}-p{p}-{i}", PolySystem(n, polys), p))
+    named = [
+        ("smooth-line", ["x+2*y-z", "x^3+y*z-2*x"], V3, (3, 5, 7)),
+        ("smooth-conic", ["x^2+y^2+x", "x*y+3*x-y"], V2, (3, 5, 7)),
+        ("singular-sum-of-squares", ["x^2+y^2", "x^4+y^4+x*y"], V2, (3, 7)),
+        ("singular-node", ["x*y", "x^2+y^3+x-y"], V2, (3, 5)),
+        ("empty-head", ["x^2-y^3+x*y"], V2, (3, 5)),
+        ("empty-head-3var", ["x*y*z+x^2-z"], V3, (3,)),
+    ]
+    for label, polys, variables, primes in named:
+        s = PolySystem(len(variables), [parse_polynomial(f, variables) for f in polys])
+        cases += [(f"{label}-p{p}", s, p) for p in primes]
+    return cases
+
+
+def _top_level(n, p, cap=200_000):
+    """Largest level <= 3 whose full grid has at most ``cap`` points."""
+    return max(m for m in (1, 2, 3) if p ** (m * n) <= cap)
+
+
+@pytest.mark.parametrize("label,s,p", _tree_cases(), ids=[c[0] for c in _tree_cases()])
+class TestLiftTreeAgainstFullGrid:
+    def test_congruence_counts(self, label, s, p):
+        ctx = PrimeContext(p)
+        top = _top_level(s.n, p)
+        expected = {0: 1}
+        for m in range(1, top + 1):
+            expected[m] = int((_ref_last_on_head(s, p**m, p**m) == 0).sum())
+            assert count_Nm(s, ctx, m) == expected[m]
+        assert congruence_table(s, ctx, top).counts == expected
+
+    def test_exp_sums(self, label, s, p):
+        ctx = PrimeContext(p)
+        top = _top_level(s.n, p)
+        table = expsum_table(s, ctx, top, 2)
+        assert [e.m for e in table] == list(range(top + 1)) and table[0].value == 1
+        for m in range(1, top + 1):
+            ref = _ref_exp_sum(s, p, m, 2)
+            assert abs(exp_sum(s, ctx, m, 2) - ref) < 1e-12
+            assert abs(table[m].value - ref) < 1e-12
+
+    def test_ac_counts(self, label, s, p):
+        ctx = PrimeContext(p)
+        for k in range(_top_level(s.n, p)):
+            assert _ac_counts_exact(s, ctx, k) == _ref_ac_counts(s, p, k)
+
+    @pytest.mark.parametrize("region", ["full", "origin"])
+    def test_delta_measures(self, label, s, p, region):
+        ctx = PrimeContext(p)
+        for r in range(_top_level(s.n, p) - 1):
+            level = r + 2
+            rep = deltaR_measures(s, ctx, r, level, region)
+            assert rep.measures == _ref_delta(s, p, r, level, region, level - 1)
+            assert rep.measures_next == _ref_delta(s, p, r + 1, level, region, level - 1)
+
+
+def test_head_without_zeros_gives_empty_levels():
+    # x^2 = 2 has no solution mod 5, so no level of the tree has a point.
+    # PolySystem requires f(0) = 0, which the oracle never relies on.
+    s = object.__new__(PolySystem)
+    s.n, s.polys = 2, [IntPolynomial(2, {(2, 0): 1, (0, 0): -2}), parse_polynomial("x+y", V2)]
+    ctx = PrimeContext(5)
+    assert congruence_table(s, ctx, 3).counts == {0: 1, 1: 0, 2: 0, 3: 0}
+    assert [e.value for e in expsum_table(s, ctx, 3)] == [1, 0, 0, 0]
+    assert exp_sum(s, ctx, 2) == 0 and _ac_counts_exact(s, ctx, 2) == {}
+    rep = deltaR_measures(s, ctx, 1, 3)
+    assert rep.measures == rep.measures_next == {0: 0, 1: 0, 2: 0}
+
+
+def test_chunk_boundaries_change_nothing(monkeypatch):
+    # Lifts are made GRID_CHUNK points at a time; a chunk may end inside the
+    # p^n lifts of one point.  Exact counts, and so E, must not move.
+    import igusa.oracle as oracle_mod
+
+    s, ctx = sys71(), PrimeContext(3)
+
+    def results():
+        return (
+            congruence_table(s, ctx, 3).counts,
+            [e.value for e in expsum_table(s, ctx, 3)],
+            deltaR_measures(s, ctx, 0, 2, "origin"),
+            deltaR_measures(s, ctx, 1, 3, "full"),
+        )
+
+    expected = results()
+    monkeypatch.setattr(oracle_mod, "GRID_CHUNK", 7)
+    assert results() == expected
+
+
+# ---------------------------------------------------------------------------
+# Budget: each level is checked on the points it tests
+# ---------------------------------------------------------------------------
+
+
+def sys72(k):
+    return PolySystem(2, [parse_polynomial(f"x^{k}+y^{k}", V2), parse_polynomial("x^4+y^4+x*y", V2)])
+
+
+class TestTreeBudget:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_level_two_refuses_at_its_own_size(self, k):
+        # Level 2 tests the p^n lifts of every zero of x^k + y^k mod 47.
+        p = 47
+        head_zeros = sum(1 for x in range(p) for y in range(p) if (x**k + y**k) % p == 0)
+        required = head_zeros * p**2
+        s, ctx = sys72(k), PrimeContext(p)
+        for call in (lambda b: congruence_table(s, ctx, 2, b), lambda b: expsum_table(s, ctx, 2, 1, b)):
+            with pytest.raises(BudgetExceededError) as err:
+                call(required - 1)
+            assert err.value.required == required
+            call(required)
+        assert required < p**4
+
+    def test_all_job_within_a_budget_below_the_full_grid(self):
+        # Ex. 7.2, k = 2, p = 47: the tree tests 2 * 47^2 points where the
+        # full grid of level 2 has 47^4.
+        job = "vars = x, y\nprime = 47\ndepth = 2\nexpsum_levels = 2\n[polys]\nx^2 + y^2\nx^4 + y^4 + x*y\n"
+        cfg = parse_config(job)
+        cfg.mode = "all"
+        reference, code = run(cfg)
+        assert code == 0
+        cfg.budget = 10_000
+        report, code = run(cfg)
+        assert code == 0 and report["oracle"] == reference["oracle"]
