@@ -7,12 +7,27 @@ valid at the prime it was computed for.
 
 Every enumeration evaluates each face polynomial over whole chunks of the
 int64 grid of ``polycore`` and keeps the points where it vanishes; Jacobian
-ranks are computed only at the common zeros that survive.  A degeneracy
-witness is the lexicographically first failing point.
+ranks are computed only at the common zeros that survive.
+
+For a direction a != 0 the face functions are quasi-homogeneous of weight
+a: f_a(t.x) = t^d f_a(x) with t.x = (t^{a_1} x_1, ..., t^{a_n} x_n), and
+J(t.x) = D_1 J(x) D_2 with invertible diagonal D_1, D_2.  So F_p^x acts on
+the torus keeping zeros and Jacobian ranks, and a torus scan needs one
+slice that meets every orbit: with a' = a / gcd(a) and the coordinate j
+minimising g = gcd(|a'_j|, p-1), x_j runs over the g coset representatives
+zeta^0, ..., zeta^(g-1) of (F_p^x)^{a'_j} (zeta a primitive root) and the
+other coordinates over all of F_p^x.  Every orbit meets the slice, each
+torus point is hit g times by F_p^x x slice, so counts are the slice's
+times (p-1)/g.  That is g (p-1)^(n-1) points instead of (p-1)^n.  a = 0
+(the constant chart term and the global "including the origin"
+direction) is scanned in full.  A degeneracy witness is the
+lexicographically first failing point of the whole torus: when a slice
+finds a failure, that one direction is rescanned in full.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +35,7 @@ import numpy as np
 from . import fan as fan_mod
 from .errors import DEFAULT_ENUM_BUDGET, check_budget
 from .polycore import IntPolynomial, PolySystem, PrimeContext, eval_on_grid, face_function, grid_chunks, grid_zeros
+from .polycore import primitive_root, product_chunks
 
 
 @dataclass
@@ -46,22 +62,41 @@ class NondegCertificate:
     subdivision: fan_mod.Fan | None = field(default=None, repr=False, compare=False)
 
 
+def _torus_slice(a, n: int, p: int) -> tuple[list[np.ndarray], int]:
+    """Coordinate axes of an orbit slice of (F_p^x)^n for direction a, and
+    the number (p-1)/g of torus points each slice point stands for.
+
+    a = 0 gives the whole torus with weight 1.
+    """
+    a = [int(x) for x in a]
+    axes = [np.arange(1, p, dtype=np.int64)] * n
+    c = math.gcd(*a)
+    if c == 0:
+        return axes, 1
+    g, j = min((math.gcd(abs(x) // c, p - 1), j) for j, x in enumerate(a) if x)
+    zeta = primitive_root(p)
+    axes[j] = np.array([pow(zeta, k, p) for k in range(g)], dtype=np.int64)
+    return axes, (p - 1) // g
+
+
 def torus_count(sys: PolySystem, a, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET) -> TorusCount:
     """Exact counts of the face system of direction a on the torus (F_p^x)^n.
 
     a = 0 means the full polynomials (used for the constant-chart term).
+    Only one orbit slice is scanned when a != 0 (see the module docstring).
     """
     p = ctx.p
-    check_budget((p - 1) ** sys.n, budget, "torus enumeration")
+    axes, weight = _torus_slice(a, sys.n, p)
+    check_budget(math.prod(map(len, axes)), budget, "torus enumeration")
     faces = [face_function(f, a) for f in sys.polys]
     c_open = 0
     c_closed = 0
-    for coords in grid_chunks(np.arange(1, p), sys.n):
+    for coords in product_chunks(axes):
         head = grid_zeros(faces[:-1], coords, p)
         closed = int(np.count_nonzero(eval_on_grid(faces[-1], head, p) == 0))
         c_closed += closed
         c_open += len(head[0]) - closed
-    return TorusCount(c_open, c_closed)
+    return TorusCount(weight * c_open, weight * c_closed)
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -103,6 +138,17 @@ def _ranks_at(jac: list[list[IntPolynomial]], coords: list[np.ndarray], p: int) 
     return [(z, _rank_mod_p([[v[k] for v in row] for row in values], p)) for k, z in enumerate(points)]
 
 
+def _rank_failures(faces, jac, axes, p: int, target: int, budget: int) -> list[tuple[tuple[int, ...], int]]:
+    """(point, rank) at every common zero of ``faces`` in the product of
+    ``axes`` whose Jacobian rank is not ``target``."""
+    check_budget(math.prod(map(len, axes)), budget, "non-degeneracy enumeration")
+    failures = []
+    for coords in product_chunks(axes):
+        zeros = grid_zeros(faces, coords, p)
+        failures += [(z, r) for z, r in _ranks_at(jac, zeros, p) if r != target]
+    return failures
+
+
 def check_nondegenerate(
     sys: PolySystem,
     ctx: PrimeContext,
@@ -123,7 +169,9 @@ def check_nondegenerate(
     p = ctx.p
     scope = "at_origin" if at_origin else "global"
     target = min(sys.l, sys.n)
-    check_budget((p - 1) ** sys.n, budget, "non-degeneracy enumeration")
+    # Every direction's scan tests at least (p-1)^(n-1) points; refuse
+    # before building the subdivision if even that is too many.
+    check_budget((p - 1) ** (sys.n - 1), budget, "non-degeneracy enumeration")
     if subdivision is None:
         subdivision = fan_mod.dual_subdivision(sys)
     directions = [cone.interior_point() for cone in subdivision.cones]
@@ -134,10 +182,10 @@ def check_nondegenerate(
     for a in directions:
         faces = [face_function(f, a) for f in sys.polys]
         jac = _jacobian(faces)
-        failures = []
-        for coords in grid_chunks(np.arange(1, p), sys.n):
-            zeros = grid_zeros(faces, coords, p)
-            failures += [(z, r) for z, r in _ranks_at(jac, zeros, p) if r != target]
+        failures = _rank_failures(faces, jac, _torus_slice(a, sys.n, p)[0], p, target, budget)
+        if failures and any(a):
+            # The slice proves degeneracy; the witness comes from the whole torus.
+            failures = _rank_failures(faces, jac, [np.arange(1, p)] * sys.n, p, target, budget)
         if failures:
             z, r = min(failures)
             return NondegCertificate(False, scope, p, NondegWitness(tuple(a), z, r), len(directions), subdivision)

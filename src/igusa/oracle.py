@@ -30,7 +30,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DEFAULT_ENUM_BUDGET, check_budget
-from .polycore import GRID_CHUNK, PolySystem, PrimeContext, eval_on_grid, face_function, grid_zeros
+from .polycore import GRID_CHUNK, PolySystem, PrimeContext, eval_on_grid, face_function, grid_zeros, primitive_root
 from .ratfun import FactoredRationalFunction
 
 
@@ -157,23 +157,6 @@ def expsum_table(sys: PolySystem, ctx: PrimeContext, levels: int, u: int = 1, bu
 # ---------------------------------------------------------------------------
 
 
-def _primitive_root(p: int) -> int:
-    order = p - 1
-    factors = set()
-    x, f = order, 2
-    while f * f <= x:
-        while x % f == 0:
-            factors.add(f)
-            x //= f
-        f += 1
-    if x > 1:
-        factors.add(x)
-    for g in range(2, p):
-        if all(pow(g, order // fac, p) != 1 for fac in factors):
-            return g
-    raise RuntimeError("no primitive root found")
-
-
 @dataclass(frozen=True)
 class MultChar:
     """Character of F_p^x given by its exponent on the smallest primitive root.
@@ -217,7 +200,7 @@ _dlog_cache: dict[int, dict[int, int]] = {}
 def _dlog_table(p: int) -> dict[int, int]:
     table = _dlog_cache.get(p)
     if table is None:
-        g = _primitive_root(p)
+        g = primitive_root(p)
         table = {}
         acc = 1
         for k in range(p - 1):

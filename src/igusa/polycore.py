@@ -9,6 +9,7 @@ test.  There is deliberately no general polynomial arithmetic.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -113,6 +114,24 @@ def _is_prime(n: int) -> bool:
             return False
         f += 1
     return True
+
+
+def primitive_root(p: int) -> int:
+    """The smallest generator of the cyclic group F_p^x."""
+    order = p - 1
+    factors = set()
+    x, f = order, 2
+    while f * f <= x:
+        while x % f == 0:
+            factors.add(f)
+            x //= f
+        f += 1
+    if x > 1:
+        factors.add(x)
+    for g in range(2, p):
+        if all(pow(g, order // fac, p) != 1 for fac in factors):
+            return g
+    raise RuntimeError("no primitive root found")
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +344,21 @@ def eval_on_grid(f: IntPolynomial, coords: list[np.ndarray], modulus: int) -> np
 def grid_chunks(axis, n: int):
     """Yield coordinate arrays covering axis^n, GRID_CHUNK points at a time.
 
-    Coordinate 0 varies fastest.  The order and the chunk boundaries are
-    fixed: floating-point sums over the chunks depend on both.
+    Coordinate 0 varies fastest.
     """
-    axis = np.asarray(axis, dtype=np.int64)
-    shape = (len(axis),) * n
-    total = len(axis) ** n
+    return product_chunks([axis] * n)
+
+
+def product_chunks(axes):
+    """Yield coordinate arrays covering the product of ``axes`` (one array of
+    values per coordinate), GRID_CHUNK points at a time, coordinate 0
+    fastest."""
+    axes = [np.asarray(axis, dtype=np.int64) for axis in axes]
+    shape = tuple(len(axis) for axis in axes)
+    total = math.prod(shape)
     for start in range(0, total, GRID_CHUNK):
         idx = np.arange(start, min(start + GRID_CHUNK, total))
-        yield [axis[d] for d in np.unravel_index(idx, shape, order="F")]
+        yield [axis[d] for axis, d in zip(axes, np.unravel_index(idx, shape, order="F"))]
 
 
 def grid_zeros(polys, coords: list[np.ndarray], modulus: int) -> list[np.ndarray]:

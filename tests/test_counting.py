@@ -1,8 +1,14 @@
+import math
+import random
+from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 
+from igusa import counting
 from igusa.counting import (
+    _torus_slice,
     check_good_reduction,
     check_nondegenerate,
     jacobian_rank,
@@ -11,7 +17,16 @@ from igusa.counting import (
 )
 from igusa.errors import BudgetExceededError
 from igusa.fan import barycenter, dual_subdivision, triangulate
-from igusa.polycore import PolySystem, PrimeContext, face_function, parse_polynomial
+from igusa.polycore import (
+    IntPolynomial,
+    PolySystem,
+    PrimeContext,
+    eval_on_grid,
+    face_function,
+    grid_chunks,
+    grid_zeros,
+    parse_polynomial,
+)
 
 V2 = ["x", "y"]
 V3 = ["x", "y", "z"]
@@ -264,3 +279,223 @@ class TestAgainstPointwiseReference:
         else:
             w = cert.witness
             assert not cert.ok and (w.direction, w.point, w.rank) == expected
+
+
+# ---------------------------------------------------------------------------
+# Orbit slices: for a != 0 the scans visit g (p-1)^(n-1) torus points
+# ---------------------------------------------------------------------------
+
+
+def full_grid_torus_count(s, a, p):
+    """(c_open, c_closed) over every point of the torus (F_p^x)^n."""
+    faces = [face_function(f, a) for f in s.polys]
+    c_open = c_closed = 0
+    for coords in grid_chunks(np.arange(1, p), s.n):
+        head = grid_zeros(faces[:-1], coords, p)
+        closed = int(np.count_nonzero(eval_on_grid(faces[-1], head, p) == 0))
+        c_open += len(head[0]) - closed
+        c_closed += closed
+    return c_open, c_closed
+
+
+def _dot(a, m):
+    return sum(x * y for x, y in zip(a, m))
+
+
+def _random_polynomial(rng, n, a):
+    """Two or three terms of equal a-weight (the face in direction a; any
+    terms when a = 0) plus up to two terms of larger a-weight."""
+    box = [m for m in product(range(4), repeat=n) if any(m)]
+    levels = {}
+    for m in box:
+        levels.setdefault(_dot(a, m), []).append(m)
+    d = rng.choice(sorted(w for w, ms in levels.items() if len(ms) >= 2))
+    face = rng.sample(levels[d], min(3, len(levels[d])))
+    higher = [m for m in box if _dot(a, m) > d]
+    terms = face + rng.sample(higher, min(2, len(higher)))
+    return IntPolynomial(n, {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in terms})
+
+
+SLICE_DIRECTIONS = {
+    2: [(1, 1), (2, 3), (3, 2), (4, 6), (0, 1), (2, 0), (0, 0)],
+    3: [(0, 1, 2), (2, 2, 4), (3, 3, 2), (1, 2, 3), (0, 0, 3), (0, 0, 0)],
+    4: [(1, 1, 1, 1), (0, 1, 2, 0), (2, 2, 4, 6), (3, 3, 2, 3), (0, 0, 0, 0)],
+}
+
+
+class TestOrbitSlice:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_slice_meets_every_orbit_g_times(self, n, p):
+        # With a' = a / gcd(a), t.x = (t^{a'_1} x_1, ..., t^{a'_n} x_n) maps
+        # F_p^x x slice onto the torus, hitting every point exactly
+        # g = (p-1)/weight times.
+        for a in SLICE_DIRECTIONS[n]:
+            axes, weight = _torus_slice(a, n, p)
+            assert (p - 1) % weight == 0
+            g = (p - 1) // weight
+            assert math.prod(len(x) for x in axes) == (g * (p - 1) ** (n - 1) if any(a) else (p - 1) ** n)
+            if not any(a):
+                continue
+            c = math.gcd(*a)
+            hits = Counter(
+                tuple(pow(t, e // c, p) * x % p for e, x in zip(a, s))
+                for t in range(1, p)
+                for s in product(*(x.tolist() for x in axes))
+            )
+            assert set(hits) == set(product(range(1, p), repeat=n))
+            assert set(hits.values()) == {g}
+
+    def test_g_above_one_where_every_entry_shares_a_factor(self):
+        assert _torus_slice((2, 3), 2, 7)[1] == 3  # g = 2
+        assert _torus_slice((3, 3, 2), 3, 7)[1] == 3  # g = 2
+        assert _torus_slice((4, 6), 2, 7)[1] == 3  # primitive (2, 3)
+        assert _torus_slice((2, 2, 4), 3, 7)[1] == 6  # primitive (1, 1, 2): g = 1
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("n,l", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_sliced_counts_equal_full_grid(self, n, l, p):
+        seen = 0
+        for seed in range(2):
+            for a in SLICE_DIRECTIONS[n]:
+                rng = random.Random(f"{n}-{l}-{p}-{seed}-{a}")
+                s = PolySystem(n, [_random_polynomial(rng, n, a) for _ in range(l)])
+                tc = torus_count(s, a, PrimeContext(p))
+                expected = full_grid_torus_count(s, a, p)
+                assert (tc.c_open, tc.c_closed) == expected, (s, a)
+                seen += sum(expected) > 0
+        assert seen > 0
+
+
+def _square(h):
+    out = {}
+    for m1, c1 in h.terms.items():
+        for m2, c2 in h.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return IntPolynomial(h.n, out)
+
+
+def _degenerate_system(rng, n):
+    """f_l = h^2 + x_1^D + ... + x_n^D with h of equal weight a > 0, so the
+    face of f_l in direction a is h^2, singular wherever h vanishes; for
+    n = 3, f_1 is a linear form."""
+    while True:
+        a = tuple(rng.randint(1, 3) for _ in range(n))
+        if math.gcd(*a) == 1:
+            break
+    levels = {}
+    for m in product(range(4), repeat=n):
+        levels.setdefault(_dot(a, m), []).append(m)
+    d = rng.choice(sorted(w for w, ms in levels.items() if w and len(ms) >= 2))
+    h = IntPolynomial(n, {m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in rng.sample(levels[d], 2)})
+    powers = {tuple(2 * d + 1 if i == k else 0 for i in range(n)): 1 for k in range(n)}
+    last = IntPolynomial(n, {**_square(h).terms, **powers})
+    if n == 2:
+        return PolySystem(2, [last])
+    linear = IntPolynomial(n, {tuple(int(i == k) for i in range(n)): rng.choice([-2, -1, 1, 2]) for k in range(n)})
+    return PolySystem(n, [linear, last])
+
+
+def _in_slice(s, p, w):
+    axes, _ = _torus_slice(w.direction, s.n, p)
+    return all(x in axis.tolist() for x, axis in zip(w.point, axes))
+
+
+class TestSlicedWitness:
+    """A sliced scan only decides that a direction fails; the witness is
+    still the full-torus reference's."""
+
+    @pytest.mark.parametrize("at_origin", [False, True])
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_cusp_squared(self, p, at_origin):
+        # (x^3 - y^2)^2: edge normal (2, 3), so g = 2 at p = 7 and p = 13.
+        s = PolySystem(2, [parse_polynomial("x^6 - 2*x^3*y^2 + y^4", V2)])
+        ctx = PrimeContext(p)
+        cert = check_nondegenerate(s, ctx, at_origin=at_origin)
+        w = cert.witness
+        assert not cert.ok and (w.direction, w.point, w.rank) == reference_witness(s, ctx, at_origin)
+        assert verify_witness(s, ctx, w)
+        assert w.direction == (2, 3)
+        assert _torus_slice(w.direction, 2, p)[1] == (p - 1) // (1 if p == 5 else 2)
+
+    def test_first_failure_outside_slice(self):
+        # (y^2 - 4x)^2 at p = 5: direction (2, 1) slices at y = 1, but the
+        # lexicographically first failure is (1, 2).
+        s = PolySystem(2, [parse_polynomial("y^4 - 8*x*y^2 + 16*x^2", V2)])
+        ctx = PrimeContext(5)
+        cert = check_nondegenerate(s, ctx)
+        w = cert.witness
+        assert (w.direction, w.point, w.rank) == reference_witness(s, ctx, False) == ((2, 1), (1, 2), 0)
+        assert not _in_slice(s, 5, w) and verify_witness(s, ctx, w)
+
+    def test_seeded_degenerate_systems(self):
+        outside = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            n = 2 if seed % 3 else 3
+            s = _degenerate_system(rng, n)
+            for p in (5, 7, 11, 13) if n == 2 else (5, 7):
+                ctx = PrimeContext(p)
+                for at_origin in (False, True):
+                    cert = check_nondegenerate(s, ctx, at_origin=at_origin)
+                    expected = reference_witness(s, ctx, at_origin)
+                    if expected is None:
+                        assert cert.ok and cert.witness is None
+                        continue
+                    w = cert.witness
+                    assert not cert.ok and (w.direction, w.point, w.rank) == expected, (seed, p, at_origin)
+                    assert verify_witness(s, ctx, w)
+                    outside += not _in_slice(s, p, w)
+        assert outside > 0
+
+
+class TestSlicedBudget:
+    """The budget sees the points each scan tests: g (p-1)^(n-1) for a
+    sliced direction, (p-1)^n for a = 0.  Ex. 7.1 at p = 7: 36, 72 or 216."""
+
+    @pytest.mark.parametrize("a,sliced", [((1, 1, 1), 36), ((3, 3, 2), 72), ((2, 2, 3), 72), ((2, 2, 4), 36)])
+    def test_torus_count(self, a, sliced):
+        s, ctx = sys71(), PrimeContext(7)
+        expected = full_grid_torus_count(s, a, 7)
+        for budget in (sliced, 215):
+            tc = torus_count(s, a, ctx, budget=budget)
+            assert (tc.c_open, tc.c_closed) == expected
+        with pytest.raises(BudgetExceededError) as err:
+            torus_count(s, a, ctx, budget=sliced - 1)
+        assert err.value.required == sliced
+
+    def test_torus_count_zero_direction_scans_whole_torus(self):
+        s, ctx = sys71(), PrimeContext(7)
+        with pytest.raises(BudgetExceededError) as err:
+            torus_count(s, (0, 0, 0), ctx, budget=215)
+        assert err.value.required == 216
+        tc = torus_count(s, (0, 0, 0), ctx, budget=216)
+        assert (tc.c_open, tc.c_closed) == full_grid_torus_count(s, (0, 0, 0), 7)
+
+    def test_at_origin_certificate(self):
+        # The largest at-origin scan is g = 2, e.g. on the cone through (3, 3, 2).
+        s, ctx = sys71(), PrimeContext(7)
+        sub = dual_subdivision(s)
+        unlimited = check_nondegenerate(s, ctx, at_origin=True, subdivision=sub)
+        for budget in (72, 215):
+            assert check_nondegenerate(s, ctx, at_origin=True, budget=budget, subdivision=sub) == unlimited
+        with pytest.raises(BudgetExceededError) as err:
+            check_nondegenerate(s, ctx, at_origin=True, budget=71, subdivision=sub)
+        assert err.value.required == 72
+
+    def test_global_certificate_scans_zero_direction_whole(self):
+        s, ctx = sys71(), PrimeContext(7)
+        with pytest.raises(BudgetExceededError) as err:
+            check_nondegenerate(s, ctx, budget=215, subdivision=dual_subdivision(s))
+        assert err.value.required == 216
+        assert check_nondegenerate(s, ctx, budget=216).ok
+
+    def test_refusal_before_the_subdivision_uses_the_lower_bound(self, monkeypatch):
+        def no_subdivision(*args, **kwargs):
+            raise AssertionError("subdivision built before the budget check")
+
+        monkeypatch.setattr(counting.fan_mod, "dual_subdivision", no_subdivision)
+        with pytest.raises(BudgetExceededError) as err:
+            check_nondegenerate(sys71(), PrimeContext(7), budget=35)
+        assert err.value.required == 36

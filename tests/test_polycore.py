@@ -16,6 +16,8 @@ from igusa.polycore import (
     grid_chunks,
     is_convenient,
     parse_polynomial,
+    primitive_root,
+    product_chunks,
 )
 
 V2 = ["x", "y"]
@@ -147,6 +149,27 @@ class TestGrid:
         points = [tuple(x[k] for x in c) for c in chunks for k in range(len(c[0]))]
         # coordinate 0 varies fastest
         assert points == [z[::-1] for z in product([1, 2, 4], repeat=3)]
+
+    def test_product_chunks_mixed_axes(self, monkeypatch):
+        monkeypatch.setattr(polycore, "GRID_CHUNK", 4)
+        axes = [[1, 2, 3], [5], [2, 7]]
+        chunks = list(product_chunks(axes))
+        assert [len(c[0]) for c in chunks] == [4, 2]
+        points = [tuple(x[k] for x in c) for c in chunks for k in range(len(c[0]))]
+        assert points == [z[::-1] for z in product(*axes[::-1])]
+
+
+class TestPrimitiveRoot:
+    def test_order_is_p_minus_1(self):
+        primes = [p for p in range(3, 200) if all(p % d for d in range(2, p))]
+        assert len(primes) == 45
+        for p in primes:
+            g = primitive_root(p)
+            order, acc = 1, g % p
+            while acc != 1:
+                acc = acc * g % p
+                order += 1
+            assert order == p - 1, p
 
 
 class TestSystemAndContext:
