@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import counting, oracle, zeta as zeta_mod
+from . import counting, newton, oracle, zeta as zeta_mod
 from .errors import DEFAULT_ENUM_BUDGET, HypothesisError, IgusaError
 from .polycore import PolySystem, PrimeContext, is_convenient, parse_polynomial
 from .ratfun import FactoredRationalFunction
@@ -166,6 +166,8 @@ def run(config: JobConfig) -> tuple[dict, int]:
         ctx = PrimeContext(config.prime)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if sys_.n > newton.MAX_DIMENSION:
+        raise ConfigError(f"{sys_.n} variables exceed the supported cap {newton.MAX_DIMENSION}")
     if mode != "check" and sys_.l < 2:
         raise ConfigError(f"mode {mode!r} needs 2 <= l <= n, got l={sys_.l}")
     budget = config.budget

@@ -3,10 +3,12 @@ simplicial refinement.
 
 The subdivision's relatively open cones are the equivalence classes of the
 first-meet-locus relation, computed per polynomial (two weight vectors are
-equivalent iff they pick the same face of every Gamma(f_j)).  Each class is
-spanned by the facet normals of the system polyhedron whose facets contain
-the class's face; classes are discovered by probing the sums of all subsets
-of facet normals, which hits the relative interior of every class.
+equivalent iff they pick the same face of every Gamma(f_j)).  There is one
+class per proper face tau of the system polyhedron, spanned by the normals
+of the facets that contain tau.  Every proper face is an intersection of
+facets, so the classes are found by closing the facet incidences (argmin
+sets and recession axes) under intersection; there is no cap on the number
+of facets.
 
 Triangulation never introduces new rays: each non-simplicial class is split
 by pulling from its first generator, and the internal walls of the split
@@ -23,7 +25,7 @@ from itertools import combinations
 from math import gcd
 
 from . import linalg, newton
-from .polycore import IntPolynomial, PolySystem
+from .polycore import PolySystem, face_function, is_convenient
 
 Ray = tuple[int, ...]
 
@@ -68,7 +70,7 @@ class Cone:
         return self.dim == len(self.generators)
 
     @cached_property
-    def facet_normals(self) -> list[tuple[Fraction, ...]]:
+    def facet_normals(self) -> list[Ray]:
         return _cone_facet_normals(self.generators)
 
     def sorted_key(self):
@@ -115,8 +117,8 @@ def _solve_in_span(gens, point) -> tuple[Fraction, ...] | None:
     return linalg.solve([[g[i] for g in gens] for i in range(len(point))], point)
 
 
-def _cone_facet_normals(gens) -> list[tuple[Fraction, ...]]:
-    """Facet normals of cone(gens), expressed inside span(gens).
+def _cone_facet_normals(gens) -> list[Ray]:
+    """Primitive integer facet normals of cone(gens), inside span(gens).
 
     Each returned vector u satisfies <u, g> >= 0 for all generators, with
     equality on a spanning subset of rank dim-1.  Works in any dimension at
@@ -137,6 +139,7 @@ def _cone_facet_normals(gens) -> list[tuple[Fraction, ...]]:
             )
             if all(x == 0 for x in u):
                 continue
+            u = linalg.primitive_integer_vector(u)
             sides = [sum(ux * gx for ux, gx in zip(u, g)) for g in gens]
             if all(s >= 0 for s in sides):
                 pass
@@ -150,9 +153,8 @@ def _cone_facet_normals(gens) -> list[tuple[Fraction, ...]]:
             zero_gens = [g for g, s in zip(gens, sides) if s == 0]
             if linalg.rank([list(g) for g in zero_gens]) != d - 1:
                 continue
-            key = linalg.primitive_integer_vector(u)
-            if key not in seen:
-                seen.add(key)
+            if u not in seen:
+                seen.add(u)
                 out.append(u)
     return out
 
@@ -164,30 +166,18 @@ def _cone_facet_normals(gens) -> list[tuple[Fraction, ...]]:
 
 def _signature(sys: PolySystem, a) -> tuple[frozenset, ...]:
     """Per-polynomial argmin sets of <a, .> over the supports."""
-    sig = []
-    for f in sys.polys:
-        dots = {m: sum(x * y for x, y in zip(a, m)) for m in f.terms}
-        d = min(dots.values())
-        sig.append(frozenset(m for m, v in dots.items() if v == d))
-    return tuple(sig)
+    return tuple(frozenset(face_function(f, a).terms) for f in sys.polys)
 
 
-def _sig_contains(inner, outer) -> bool:
-    return all(i <= o for i, o in zip(inner, outer))
+def _incidence(sys: PolySystem, a) -> tuple[frozenset, ...]:
+    """The face of the system polyhedron that ``a`` picks.
 
-
-def _face_below(probe, ray, sig_probe, sig_ray) -> bool:
-    """Does the facet normal to ``ray`` contain the face picked by ``probe``?
-
-    Geometric containment of faces of the system polyhedron needs both the
-    attaining support points to nest (per polynomial) and the unbounded
-    directions to nest: the face of ``probe`` recedes along every axis where
-    probe vanishes, so the facet can only contain it if ``ray`` vanishes
-    there too.
+    It is the per-polynomial argmin sets followed by the axes where ``a``
+    vanishes, the directions along which the face recedes.  Faces nest iff
+    their incidences nest componentwise, and two faces meet in the
+    componentwise intersection when no argmin component of it is empty.
     """
-    if not _sig_contains(sig_probe, sig_ray):
-        return False
-    return all(r == 0 for p, r in zip(probe, ray) if p == 0)
+    return _signature(sys, a) + (frozenset(j for j, x in enumerate(a) if x == 0),)
 
 
 def dual_subdivision(sys: PolySystem) -> Fan:
@@ -196,11 +186,6 @@ def dual_subdivision(sys: PolySystem) -> Fan:
     The classes are the relatively open cones Delta_tau; each is spanned by
     the facet normals of the system polyhedron whose facet contains tau.
     """
-    from .polycore import is_convenient
-
-    for f in sys.polys:
-        if f.is_zero():
-            raise ValueError("zero polynomial in system")
     report = is_convenient(sys)
     if not report.convenient:
         warnings.warn(
@@ -211,37 +196,34 @@ def dual_subdivision(sys: PolySystem) -> Fan:
 
     gamma_f = newton.system_polyhedron(sys)
     rays = sorted({f.normal for f in gamma_f.facets}, key=lambda r: (sum(r), r))
-    ray_sigs = {r: _signature(sys, r) for r in rays}
+    incidence = {r: _incidence(sys, r) for r in rays}
 
-    if len(rays) > 16:
-        from .errors import BudgetExceededError
+    def spanning(face) -> tuple[Ray, ...]:
+        return tuple(r for r in rays if all(x <= y for x, y in zip(face, incidence[r])))
 
-        raise BudgetExceededError("too many facet normals for class enumeration", 2 ** len(rays), 2**16)
-
-    classes: dict[tuple[frozenset, ...], tuple[Ray, ...]] = {}
-    for k in range(1, len(rays) + 1):
-        for subset in combinations(rays, k):
-            probe = tuple(sum(col) for col in zip(*subset))
-            sig = _signature(sys, probe)
-            key = (sig, tuple(x == 0 for x in probe))
-            if key in classes:
+    # Every proper face is an intersection of facets: close the facets
+    # under meets, keyed by the facets that contain each face.
+    faces = {spanning(incidence[r]): incidence[r] for r in rays}
+    todo = list(faces.items())
+    while todo:
+        span, face = todo.pop()
+        for r in rays:
+            if r in span:
                 continue
-            spanning = tuple(r for r in rays if _face_below(probe, r, sig, ray_sigs[r]))
-            classes[key] = spanning
+            meet = tuple(x & y for x, y in zip(face, incidence[r]))
+            if not all(meet[:-1]):
+                continue
+            key = spanning(meet)
+            if key not in faces:
+                faces[key] = meet
+                todo.append((key, meet))
 
     cones = []
-    seen = set()
-    for (sig, zeros), spanning in classes.items():
-        if not spanning:
-            raise RuntimeError("class with no spanning facet normals; inconsistent fan")
-        if spanning in seen:
-            raise RuntimeError(f"two classes share the spanning set {spanning}; inconsistent fan")
-        seen.add(spanning)
-        cone = Cone(spanning)
-        # The defining property of the class: its interior point realises sig.
-        interior = cone.interior_point()
-        if _signature(sys, interior) != sig or tuple(x == 0 for x in interior) != zeros:
-            raise RuntimeError(f"signature mismatch for class spanned by {spanning}")
+    for span, face in faces.items():
+        cone = Cone(span)
+        # The defining property of the class: its interior point picks the face.
+        if _incidence(sys, cone.interior_point()) != face:
+            raise RuntimeError(f"incidence mismatch for class spanned by {span}")
         cones.append(cone)
     cones.sort(key=Cone.sorted_key)
     return Fan(sys.n, cones, skeleton=list(rays))

@@ -148,8 +148,6 @@ def system_support_value(sys: PolySystem, a) -> int:
         raise ValueError("support value needs a nonnegative weight vector")
     total = 0
     for f in sys.polys:
-        if f.is_zero():
-            raise ValueError("zero polynomial in system")
         total += support_min(f.support(), a)
     return total
 
@@ -163,8 +161,6 @@ def system_polyhedron(sys: PolySystem) -> NewtonPolyhedron:
     _check_dimension(sys.n)
     sums = {(0,) * sys.n}
     for f in sys.polys:
-        if f.is_zero():
-            raise ValueError("zero polynomial in system")
         sums = {tuple(a + b for a, b in zip(s, m)) for s in sums for m in f.terms}
     pruned = _prune_dominated(sorted(sums))
     return polyhedron_from_points(sys.n, pruned)

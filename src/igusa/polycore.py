@@ -82,6 +82,8 @@ class PolySystem:
         for i, f in enumerate(self.polys):
             if f.n != self.n:
                 raise ValueError(f"polynomial {i} lives in dimension {f.n}, system in {self.n}")
+            if f.is_zero():
+                raise ValueError(f"polynomial {i} is zero")
             if f.has_constant_term():
                 raise ValueError(f"polynomial {i} has a constant term (f(0) != 0)")
 

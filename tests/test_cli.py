@@ -51,6 +51,36 @@ prime = 5
 x^^2 + y
 """
 
+JOB_ZERO_POLY = """\
+vars = x, y
+prime = 5
+
+[polys]
+x - x
+"""
+
+JOB_SEVEN_VARS = """\
+vars = a, b, c, d, e, f, g
+prime = 5
+
+[polys]
+a + b
+a^2 + b^2 + c^2 + d^2 + e^2 + f^2 + g^2
+"""
+
+# A convenient system with 17 facet normals: the class enumeration has no
+# cap on the facet count.
+JOB_17_NORMALS = """\
+vars = x, y, z
+prime = 11
+depth = 2
+expsum_levels = 2
+
+[polys]
+x + y + z
+x^17 + y^16 + z^15 + x^9*y + y^8*z + z^7*x + x^5*y^3 + y^5*z^3 + z^5*x^3 + x^2*y^2*z^2 + x*y^6*z + x^3*y*z^4
+"""
+
 
 def _write(tmp_path, text, name="job.cfg"):
     path = tmp_path / name
@@ -311,3 +341,18 @@ class TestMain:
         detail = json.loads(capsys.readouterr().err)
         assert detail["error"] == "ConfigError"
         assert "must be at least 1" in detail["message"]
+
+    @pytest.mark.parametrize("job", [JOB_ZERO_POLY, JOB_SEVEN_VARS], ids=["zero-poly", "seven-vars"])
+    def test_unsupported_system_exit_1(self, tmp_path, capsys, job):
+        code = main(["check", "--input", _write(tmp_path, job)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_17_facet_normals_all_exit_0(self, tmp_path):
+        out_json = tmp_path / "report.json"
+        code = main(["all", "--input", _write(tmp_path, JOB_17_NORMALS), "--json", str(out_json)])
+        assert code == 0
+        blob = json.loads(out_json.read_text())
+        assert len(blob["fan"]["skeleton"]) == 17 and blob["fan"]["cone_count"] == 91
+        assert blob["oracle"]["congruence"]["N"] == {"0": "1", "1": "15", "2": "275"}
+        assert any(c["name"] == "poincare_vs_congruence" and c["passed"] for c in blob["checks"])

@@ -1,4 +1,7 @@
+import random
+import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +13,8 @@ from igusa.fan import (
     parallelepiped_points,
     triangulate,
 )
-from igusa.polycore import PolySystem, face_function, parse_polynomial
+from igusa.newton import system_polyhedron
+from igusa.polycore import IntPolynomial, PolySystem, face_function, is_convenient, parse_polynomial
 
 V2 = ["x", "y"]
 V3 = ["x", "y", "z"]
@@ -176,3 +180,66 @@ def test_facet_normals_once_per_cone(monkeypatch):
     cfg.mode = "zeta"
     assert run(cfg)[1] == 0
     assert len(expected) == 3 and calls == dict.fromkeys(expected, 1)
+
+
+def _probed_classes(sys_):
+    """Reference class enumeration by probing every subset of facet normals.
+
+    The sum of each subset lies in the relative interior of some class; the
+    class is keyed by the probe's argmin sets and zero axes, and spanned by
+    the normals whose facet contains the probe's face.
+    """
+    rays = sorted({f.normal for f in system_polyhedron(sys_).facets}, key=lambda r: (sum(r), r))
+
+    def argmins(a):
+        out = []
+        for f in sys_.polys:
+            dots = {m: sum(x * y for x, y in zip(a, m)) for m in f.terms}
+            out.append(frozenset(m for m, d in dots.items() if d == min(dots.values())))
+        return tuple(out)
+
+    classes = {}
+    for k in range(1, len(rays) + 1):
+        for subset in combinations(rays, k):
+            probe = tuple(map(sum, zip(*subset)))
+            key = (argmins(probe), tuple(x == 0 for x in probe))
+            if key not in classes:
+                classes[key] = tuple(
+                    r
+                    for r in rays
+                    if all(i <= o for i, o in zip(key[0], argmins(r)))
+                    and all(x == 0 for p, x in zip(probe, r) if p == 0)
+                )
+    return sorted((Cone(span) for span in classes.values()), key=Cone.sorted_key), rays
+
+
+def _random_system(rng, n, l, convenient):
+    polys = []
+    for _ in range(l):
+        terms = {}
+        if convenient:
+            for j in range(n):
+                terms[tuple(rng.randint(1, 6) if i == j else 0 for i in range(n))] = 1
+        while not terms or rng.random() < 0.85:
+            m = tuple(rng.randint(0, 4) for _ in range(n))
+            if any(m):
+                terms[m] = rng.randint(1, 3)
+        polys.append(IntPolynomial(n, terms))
+    return PolySystem(n, polys)
+
+
+def test_incidence_closure_matches_subset_probing():
+    rng = random.Random(20261018)
+    compared = {True: 0, False: 0}
+    while min(compared.values()) < 15:
+        n = rng.choice([2, 3, 4])
+        sys_ = _random_system(rng, n, rng.randint(1, 2), convenient=rng.random() < 0.5)
+        if len(system_polyhedron(sys_).facets) > 12:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fan = dual_subdivision(sys_)
+        cones, rays = _probed_classes(sys_)
+        assert [c.generators for c in fan.cones] == [c.generators for c in cones], sys_
+        assert fan.skeleton == rays
+        compared[is_convenient(sys_).convenient] += 1

@@ -62,6 +62,10 @@ def check_fan_partition(rays=1000, seed=20240818):
                        parse_polynomial("x^4+y^4+x*y", V2)]),
         PolySystem(3, [parse_polynomial("x+y+z^2", V3),
                        parse_polynomial("x^2+y^2+z^4", V3)]),
+        # 17 facet normals
+        PolySystem(3, [parse_polynomial("x+y+z", V3),
+                       parse_polynomial("x^17+y^16+z^15+x^9*y+y^8*z+z^7*x+x^5*y^3+y^5*z^3"
+                                        "+z^5*x^3+x^2*y^2*z^2+x*y^6*z+x^3*y*z^4", V3)]),
     ]
     fans = [triangulate(dual_subdivision(s)) for s in systems]
     rng = random.Random(seed)
