@@ -13,6 +13,11 @@ of facets.
 Triangulation never introduces new rays: each non-simplicial class is split
 by pulling from its first generator, and the internal walls of the split
 are kept as cones so the result is again a partition of R_+^n minus 0.
+
+A cone's facet normals come from ``newton.cone_facet_normals``, the routine
+that also gives the Newton polyhedron its facets.  A point lies in a cone's
+relative interior when every equation of the cone's span vanishes there and
+every facet normal is positive there: two integer tests, no solve.
 """
 
 from __future__ import annotations
@@ -71,7 +76,11 @@ class Cone:
 
     @cached_property
     def facet_normals(self) -> list[Ray]:
-        return _cone_facet_normals(self.generators)
+        return newton.cone_facet_normals(self.generators)
+
+    @cached_property
+    def _span_equations(self) -> list[Ray]:
+        return [linalg.primitive_integer_vector(v) for v in linalg.nullspace(self.generators)]
 
     def sorted_key(self):
         return (len(self.generators), self.generators)
@@ -80,16 +89,17 @@ class Cone:
         return tuple(sum(g[j] for g in self.generators) for j in range(self.n))
 
     def contains_relint(self, point) -> bool:
-        """Exact test: is the point in the relative interior of this cone?"""
-        if self.simplicial:
-            sol = _solve_in_span(self.generators, point)
-            return sol is not None and all(c > 0 for c in sol)
-        if _solve_in_span(self.generators, point) is None:
-            return False
-        for normal in self.facet_normals:
-            if sum(u * x for u, x in zip(normal, point)) <= 0:
-                return False
-        return True
+        """Exact test: is the point in the relative interior of this cone?
+
+        It is when every equation of the span vanishes at the point and every
+        facet normal is positive there.
+        """
+        def side(u):
+            return sum(a * x for a, x in zip(u, point))
+
+        return all(side(eq) == 0 for eq in self._span_equations) and all(
+            side(normal) > 0 for normal in self.facet_normals
+        )
 
 
 @dataclass
@@ -110,53 +120,6 @@ class Fan:
 
     def locate(self, point) -> list[Cone]:
         return [c for c in self.cones if c.contains_relint(point)]
-
-
-def _solve_in_span(gens, point) -> tuple[Fraction, ...] | None:
-    """Coefficients of point in the generator span (columns), or None."""
-    return linalg.solve([[g[i] for g in gens] for i in range(len(point))], point)
-
-
-def _cone_facet_normals(gens) -> list[Ray]:
-    """Primitive integer facet normals of cone(gens), inside span(gens).
-
-    Each returned vector u satisfies <u, g> >= 0 for all generators, with
-    equality on a spanning subset of rank dim-1.  Works in any dimension at
-    the small scales used here.
-    """
-    d = linalg.rank([list(g) for g in gens])
-    out = []
-    seen = set()
-    for subset in combinations(gens, d - 1):
-        if linalg.rank([list(g) for g in subset]) != d - 1:
-            continue
-        # u orthogonal to the subset, inside span(gens):
-        # write u = sum mu_k gens_k, require <u, s> = 0 for s in subset.
-        rows = [[sum(s[i] * g[i] for i in range(len(s))) for g in gens] for s in subset]
-        for mu in linalg.nullspace(rows):
-            u = tuple(
-                sum(m * g[i] for m, g in zip(mu, gens)) for i in range(len(gens[0]))
-            )
-            if all(x == 0 for x in u):
-                continue
-            u = linalg.primitive_integer_vector(u)
-            sides = [sum(ux * gx for ux, gx in zip(u, g)) for g in gens]
-            if all(s >= 0 for s in sides):
-                pass
-            elif all(s <= 0 for s in sides):
-                u = tuple(-x for x in u)
-                sides = [-s for s in sides]
-            else:
-                continue
-            if sum(1 for s in sides if s == 0) == 0:
-                continue
-            zero_gens = [g for g, s in zip(gens, sides) if s == 0]
-            if linalg.rank([list(g) for g in zero_gens]) != d - 1:
-                continue
-            if u not in seen:
-                seen.add(u)
-                out.append(u)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +239,7 @@ def _pulling_triangulation(gens: list[Ray], dim: int, normals=None) -> list[tupl
         return [tuple(sorted(gens))]
     apex = gens[0]
     pieces = []
-    for normal in normals or _cone_facet_normals(gens):
+    for normal in normals or newton.cone_facet_normals(gens):
         side_apex = sum(u * x for u, x in zip(normal, apex))
         if side_apex == 0:
             continue

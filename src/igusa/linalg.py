@@ -88,6 +88,29 @@ def nullspace(rows) -> list[Vector]:
     return basis
 
 
+def kernel_vector(rows, ncols: int) -> tuple[int, ...] | None:
+    """The primitive integer vector spanning a one-dimensional right kernel.
+
+    It is read straight off the integer elimination, with no ``Fraction``
+    arithmetic, and its first nonzero entry is positive, so it equals
+    ``primitive_integer_vector(nullspace(rows)[0])``.  ``ncols`` is the number
+    of columns, which ``rows`` cannot tell when it is empty.  Returns None when
+    the kernel is not one-dimensional.
+    """
+    m, pivots, d, _, _ = _eliminate(rows)
+    if ncols - len(pivots) != 1:
+        return None
+    fc = min(set(range(ncols)) - set(pivots))
+    v = [0] * ncols
+    v[fc] = d
+    for r, c in enumerate(pivots):
+        v[c] = -m[r][fc]
+    g = gcd(*v)
+    if next(x for x in v if x != 0) < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
 def solve(rows, rhs) -> Vector | None:
     """One exact solution of A x = b, or None if inconsistent.
 

@@ -1,18 +1,22 @@
 """Newton polyhedra at the origin: facets, support values, first meet loci.
 
 A polyhedron here is conv(union of m + R_+^n over the support points m);
-its recession cone is always R_+^n.  Facets are enumerated exactly: every
-candidate hyperplane is spanned by support points together with coordinate
-directions, the primitive integer normal is solved for over Q, and a
-candidate survives only if its minimal face has affine dimension n-1.
-This is exhaustive and exact at the scales this package targets (n <= 6,
-a few dozen support points).
+its recession cone is always R_+^n.  Facets are enumerated exactly as the
+facets of the homogenisation cone{(m, 1)} + cone{(e_j, 0)}, leaving out the
+one at infinity.  ``cone_facet_normals`` finds the facets of any rational
+cone, and the fan's triangulation walls and cone membership tests use it
+too: each candidate normal is the integer kernel of dim-1 generators and
+the span's equations, read off the fraction-free elimination, and it
+survives when every generator lies on one side.  This is exhaustive and
+exact at the scales this package targets (n <= 6, a few dozen support
+points).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 from . import linalg
 from .polycore import Exponent, IntPolynomial, PolySystem
@@ -73,44 +77,52 @@ def build_polyhedron(f: IntPolynomial) -> NewtonPolyhedron:
 
 
 def _enumerate_facets(n: int, pts: list[Exponent]) -> list[Facet]:
-    """All facets, as primitive nonnegative normals with their offsets."""
-    if n == 1:
-        off = min(m[0] for m in pts)
-        return [Facet((1,), off)]
+    """All facets, as primitive nonnegative normals with their offsets.
 
-    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    seen: set[tuple[int, ...]] = set()
-    facets: list[Facet] = []
-
-    def consider(normal: tuple[int, ...]):
-        if normal in seen:
-            return
-        seen.add(normal)
-        if any(x < 0 for x in normal):
-            return
-        dots = [_dot(normal, m) for m in pts]
-        off = min(dots)
-        attaining = [m for m, d in zip(pts, dots) if d == off]
-        # Face of the polyhedron: conv(attaining) + cone{e_j : normal_j = 0}.
-        base = attaining[0]
-        dirs = [[mi - bi for mi, bi in zip(m, base)] for m in attaining[1:]]
-        dirs += [list(unit[j]) for j in range(n) if normal[j] == 0]
-        if dirs and linalg.rank(dirs) == n - 1:
-            facets.append(Facet(normal, off))
-
-    # Hyperplane spanned by k support points and n-k coordinate directions.
-    for k in range(1, n + 1):
-        for subset in combinations(pts, k):
-            base = subset[0]
-            point_dirs = [[mi - bi for mi, bi in zip(m, base)] for m in subset[1:]]
-            for axes in combinations(range(n), n - k):
-                # n - 1 rows, so rank n - 1 <=> a one-dimensional kernel.
-                kernel = linalg.nullspace(point_dirs + [list(unit[j]) for j in axes])
-                if len(kernel) != 1:
-                    continue
-                normal = linalg.primitive_integer_vector(kernel[0])
-                consider(normal)
+    They are the facets of the homogenisation cone{(m, 1)} + cone{(e_j, 0)}
+    other than the one at infinity, t = 0: an inner normal (a, -b) of the
+    cone is the facet <a, x> >= b of the polyhedron.  Every such facet holds
+    a support point, so b is a multiple of gcd(a) and a is primitive too.
+    """
+    # Axes first: their sides are the normal's own entries, so a normal with
+    # entries of both signs is rejected at once.
+    unit = [tuple(int(i == j) for j in range(n)) + (0,) for i in range(n)]
+    normals = cone_facet_normals(unit + [m + (1,) for m in pts])
+    facets = [Facet(u[:n], -u[n]) for u in normals if any(u[:n])]
     return sorted(facets, key=lambda f: f.normal)
+
+
+def cone_facet_normals(gens) -> list[tuple[int, ...]]:
+    """Primitive integer inner facet normals of cone(gens), inside span(gens).
+
+    Each returned vector u lies in span(gens) and satisfies <u, g> >= 0 for
+    all generators, with equality on a subset of rank dim-1.  The candidates
+    are the one-dimensional kernels of each (dim-1)-subset of the generators
+    together with the equations of the span; such a subset has rank dim-1,
+    so a candidate with every generator on one side is a facet normal.  The
+    normals come in the order of their first subset; a ray's one facet is
+    {0}, with normal its generator.  Works in any dimension at the small
+    scales used here.
+    """
+    ncols = len(gens[0])
+    eqs = [linalg.primitive_integer_vector(v) for v in linalg.nullspace(gens)]
+    dim = ncols - len(eqs)
+    out = []
+    seen = set()
+    for subset in combinations(gens, dim - 1):
+        u = linalg.kernel_vector(list(subset) + eqs, ncols)
+        if u is None or u in seen:
+            continue
+        seen.add(u)
+        lo = hi = 0
+        for g in gens:
+            side = sum(map(mul, u, g))
+            lo, hi = min(lo, side), max(hi, side)
+            if lo < 0 < hi:
+                break
+        else:
+            out.append(u if lo == 0 else tuple(-x for x in u))
+    return out
 
 
 @dataclass

@@ -2,9 +2,11 @@ import random
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
+from igusa import linalg
 from igusa.fan import (
     Cone,
     barycenter,
@@ -158,10 +160,12 @@ class TestConeData:
 
 def test_facet_normals_once_per_cone(monkeypatch):
     # Ex. 7.1 at p = 23, `igusa zeta`: triangulating the fan asks each
-    # non-simplicial class for its facet normals many times.
+    # non-simplicial class for its facet normals many times.  The Newton
+    # polyhedron's facets come from the same routine on its homogenisation
+    # cone in R^4; only the calls on cones in R^3 are counted.
     import collections
 
-    import igusa.fan as fan_mod
+    import igusa.newton as newton_mod
     from igusa.cli import parse_config, run
     from igusa.counting import check_nondegenerate
     from igusa.polycore import PrimeContext
@@ -169,17 +173,100 @@ def test_facet_normals_once_per_cone(monkeypatch):
     subdivision = check_nondegenerate(sys71(), PrimeContext(23)).subdivision
     expected = {c.generators for c in subdivision.cones if not c.simplicial}
     calls = collections.Counter()
-    real = fan_mod._cone_facet_normals
+    real = newton_mod.cone_facet_normals
 
     def shim(gens):
-        calls[tuple(gens)] += 1
+        if len(gens[0]) == 3:
+            calls[tuple(gens)] += 1
         return real(gens)
 
-    monkeypatch.setattr(fan_mod, "_cone_facet_normals", shim)
+    monkeypatch.setattr(newton_mod, "cone_facet_normals", shim)
     cfg = parse_config("vars = x, y, z\nprime = 23\n[polys]\nx+y-z\nx^8+y^8+z^8+x^2*y^2*z^2\n")
     cfg.mode = "zeta"
     assert run(cfg)[1] == 0
     assert len(expected) == 3 and calls == dict.fromkeys(expected, 1)
+
+
+def _gram_facet_normals(gens):
+    """Reference facet normals: for each rank dim-1 subset of generators,
+    solve for u = sum mu_k g_k orthogonal to the subset through the Gram
+    matrix, and keep u when every generator lies on one side of it."""
+    d = linalg.rank(gens)
+    out = []
+    for subset in combinations(gens, d - 1):
+        if linalg.rank(subset) != d - 1:
+            continue
+        rows = [[sum(a * b for a, b in zip(s, g)) for g in gens] for s in subset]
+        for mu in linalg.nullspace(rows):
+            u = tuple(sum(m * g[i] for m, g in zip(mu, gens)) for i in range(len(gens[0])))
+            if not any(u):
+                continue
+            u = linalg.primitive_integer_vector(u)
+            sides = [sum(a * b for a, b in zip(u, g)) for g in gens]
+            if min(sides) < 0:
+                if max(sides) > 0:
+                    continue
+                u, sides = tuple(-x for x in u), [-x for x in sides]
+            zero = [g for g, x in zip(gens, sides) if x == 0]
+            if zero and linalg.rank(zero) == d - 1 and u not in out:
+                out.append(u)
+    return out
+
+
+def _relint_by_solve(gens, normals, point):
+    """Reference membership: solve for the point in the generator span; a
+    simplicial cone needs positive coefficients, any other cone a positive
+    side of every reference facet normal."""
+    sol = linalg.solve([[g[i] for g in gens] for i in range(len(point))], point)
+    if sol is None:
+        return False
+    if linalg.rank(gens) == len(gens):
+        return all(c > 0 for c in sol)
+    return all(sum(a * x for a, x in zip(u, point)) > 0 for u in normals)
+
+
+def _random_cone(rng):
+    """Nonnegative primitive generators of a random rank inside a random
+    subspace: rays, cones that are not full-dimensional, and cones with
+    more generators than their dimension."""
+    n = rng.randint(1, 4)
+    dim = rng.randint(1, n)
+    basis = [[rng.randint(0, 3) for _ in range(n)] for _ in range(dim)]
+    gens = set()
+    for _ in range(dim if rng.random() < 0.4 else rng.randint(dim, dim + 3)):
+        g = [sum(rng.randint(0, 2) * b[i] for b in basis) for i in range(n)]
+        if any(g):
+            gens.add(tuple(x // gcd(*g) for x in g))
+    return Cone(tuple(sorted(gens))) if gens else None
+
+
+def test_membership_against_solve():
+    rng = random.Random(20261018)
+    outcomes = {True: 0, False: 0}
+    while sum(outcomes.values()) < 3000:
+        cone = _random_cone(rng)
+        if cone is None:
+            continue
+        gens = cone.generators
+        normals = _gram_facet_normals(gens)
+        # The reference finds no facet of a ray; its one facet is {0}.
+        assert cone.facet_normals == (normals or [gens[0]]), gens
+        for _ in range(10):
+            kind = rng.randrange(4)
+            if kind < 2:  # a nonnegative combination: interior or boundary
+                point = [
+                    sum(c * g[i] for c, g in zip([rng.randint(0, 3) for _ in gens], gens))
+                    for i in range(cone.n)
+                ]
+            else:  # anywhere, mostly off the span, sometimes outside the orthant
+                point = [rng.randint(-2 if kind == 3 else 0, 5) for _ in range(cone.n)]
+            if rng.random() < 0.5:
+                den = rng.randint(2, 7)
+                point = [Fraction(x, den) for x in point]
+            inside = cone.contains_relint(tuple(point))
+            assert inside == _relint_by_solve(gens, normals, point), (gens, point)
+            outcomes[inside] += 1
+    assert min(outcomes.values()) > 500
 
 
 def _probed_classes(sys_):

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from igusa.linalg import det, invert, nullspace, primitive_integer_vector, rank, row_echelon, solve
+from igusa.linalg import (
+    det,
+    invert,
+    kernel_vector,
+    nullspace,
+    primitive_integer_vector,
+    rank,
+    row_echelon,
+    solve,
+)
 
 
 def test_rank():
@@ -89,6 +98,21 @@ def test_empty_input():
     assert solve([], []) is None
     assert invert([]) == []
     assert det([]) == 1
+
+
+def test_kernel_vector_matches_nullspace():
+    one_dimensional = 0
+    for m in _corpus():
+        basis = nullspace(m)
+        expected = primitive_integer_vector(basis[0]) if len(basis) == 1 else None
+        assert kernel_vector(m, len(m[0])) == expected, m
+        one_dimensional += expected is not None
+    assert one_dimensional >= 20
+    # No rows: the kernel is all of Q^ncols.
+    assert kernel_vector([], 1) == (1,)
+    assert kernel_vector([], 3) is None
+    assert kernel_vector([[0, 0, 0], [-2, 0, 4], [3, 0, -6]], 3) is None
+    assert kernel_vector([[2, -4, 0], [0, 0, Fraction(1, 3)]], 3) == (2, 1, 0)
 
 
 class TestAgainstSympy:

@@ -1,9 +1,14 @@
+import random
+from itertools import combinations
+
 import pytest
 
+from igusa import linalg
 from igusa.newton import (
     Facet,
     build_polyhedron,
     first_meet_locus,
+    polyhedron_from_points,
     support_value,
     system_polyhedron,
     system_support_value,
@@ -12,6 +17,7 @@ from igusa.polycore import IntPolynomial, PolySystem, parse_polynomial
 
 V2 = ["x", "y"]
 V3 = ["x", "y", "z"]
+V4 = ["x", "y", "z", "w"]
 
 
 def octic():
@@ -155,3 +161,62 @@ class TestSystemSupport:
             }
             # Attaining points of the pruned generator set all arise as sums.
             assert set(total.attaining) <= sums
+
+
+def _hyperplane_facets(n, pts):
+    """Reference facet search: every hyperplane spanned by k support points
+    and n-k coordinate directions, kept when its normal is nonnegative and
+    the face it cuts out has affine dimension n-1."""
+    if n == 1:
+        return [Facet((1,), min(m[0] for m in pts))]
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    seen, facets = set(), []
+    for k in range(1, n + 1):
+        for subset in combinations(pts, k):
+            dirs = [[a - b for a, b in zip(m, subset[0])] for m in subset[1:]]
+            for axes in combinations(range(n), n - k):
+                kernel = linalg.nullspace(dirs + [unit[j] for j in axes])
+                if len(kernel) != 1:
+                    continue
+                normal = linalg.primitive_integer_vector(kernel[0])
+                if normal in seen or min(normal) < 0:
+                    continue
+                seen.add(normal)
+                dots = [sum(a * x for a, x in zip(normal, m)) for m in pts]
+                face = [m for m, d in zip(pts, dots) if d == min(dots)]
+                face_dirs = [[a - b for a, b in zip(m, face[0])] for m in face[1:]]
+                face_dirs += [unit[j] for j in range(n) if normal[j] == 0]
+                if face_dirs and linalg.rank(face_dirs) == n - 1:
+                    facets.append(Facet(normal, min(dots)))
+    return sorted(facets, key=lambda f: f.normal)
+
+
+class TestAgainstHyperplaneSearch:
+    """Facets of the homogenisation cone against the direct hyperplane search."""
+
+    def test_random_point_sets(self):
+        rng = random.Random(20261018)
+        for t in range(160):
+            n = 1 + t % 4
+            pts = sorted({tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(rng.randint(1, 9 - n))})
+            if (0,) * n in pts:
+                pts.remove((0,) * n)
+            if not pts:
+                continue
+            assert polyhedron_from_points(n, pts).facets == _hyperplane_facets(n, pts), pts
+
+    @pytest.mark.parametrize(
+        "variables, polys",
+        [
+            (V3, ["x+y-z", "x^8+y^8+z^8+x^2*y^2*z^2"]),
+            (V4, ["x+2*y+z^2-w", "x^2+3*y^2+z^2+2*w^2"]),
+            (V4, ["x+2*y+z^2-w", "x^6+y^6+z^6+w^6+x^2*y^2*z*w+x*y^3*w"]),
+            (V3, ["x+y+z", "x^12+y^11+z^10+x^6*y+y^5*z^2+z^4*x^3+x^2*y^3*z+x*y*z^4+x^3*y^4"]),
+            (V3, ["x+y+z", "x^17+y^16+z^15+x^9*y+y^8*z+z^7*x+x^5*y^3+y^5*z^3+z^5*x^3"
+                           "+x^2*y^2*z^2+x*y^6*z+x^3*y*z^4"]),
+        ],
+        ids=["ex71", "quadric-4var", "sextic-4var", "15-normals", "17-normals"],
+    )
+    def test_systems(self, variables, polys):
+        gamma = system_polyhedron(PolySystem(len(variables), [parse_polynomial(f, variables) for f in polys]))
+        assert gamma.facets == _hyperplane_facets(gamma.n, gamma.generators)

@@ -1,9 +1,11 @@
 """Randomised property suites; seeds fixed for reproducibility.
 
-These four functions are also invoked by the acceptance suite.
+These four functions are also invoked by the acceptance suite; they are
+cached, so one test process runs each suite once.
 """
 
 import random
+from functools import cache
 from fractions import Fraction
 from math import gcd
 
@@ -27,6 +29,7 @@ def _primitive(vec):
     return tuple(x // g for x in vec)
 
 
+@cache
 def check_parallelepiped_counts(cases=200, seed=20240817):
     """Lattice-index identity: |parallelepiped points| = |det| for full-dim
     simplicial cones with entries <= 9, n <= 4."""
@@ -52,6 +55,7 @@ def check_parallelepiped_counts(cases=200, seed=20240817):
     return done
 
 
+@cache
 def check_fan_partition(rays=1000, seed=20240818):
     """Every random nonzero nonnegative rational ray lies in the relative
     interior of exactly one cone of the triangulated fan."""
@@ -102,6 +106,7 @@ def _random_frf(rng, q) -> FRF:
     return FRF(q, num, den)
 
 
+@cache
 def check_ratfun_reference(pairs=500, seed=20240819):
     """add/mul agree with plain numerator/denominator polynomial arithmetic."""
     rng = random.Random(seed)
@@ -137,6 +142,7 @@ def _poly_add_dicts(p1, p2):
     return out
 
 
+@cache
 def check_expsum_conjugation(seed=0):
     """E(m, p^m - u) is the complex conjugate of E(m, u), all tested levels."""
     systems = [
