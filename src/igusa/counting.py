@@ -132,10 +132,12 @@ def jacobian_rank(polys: list[IntPolynomial], z, ctx: PrimeContext) -> int:
 
 
 def _ranks_at(jac: list[list[IntPolynomial]], coords: list[np.ndarray], p: int) -> list[tuple[tuple[int, ...], int]]:
-    """(point, Jacobian rank over F_p) at each point of the coordinate arrays."""
+    """(point, Jacobian rank over F_p) at each point of the coordinate arrays;
+    each distinct matrix of values is ranked once."""
     values = [[eval_on_grid(d, coords, p).tolist() for d in row] for row in jac]
-    points = zip(*(x.tolist() for x in coords))
-    return [(z, _rank_mod_p([[v[k] for v in row] for row in values], p)) for k, z in enumerate(points)]
+    matrices = [tuple(tuple(v[k] for v in row) for row in values) for k in range(len(coords[0]))]
+    ranks = {m: _rank_mod_p(m, p) for m in set(matrices)}
+    return list(zip(zip(*(x.tolist() for x in coords)), map(ranks.get, matrices)))
 
 
 def _rank_failures(faces, jac, axes, p: int, target: int, budget: int) -> list[tuple[tuple[int, ...], int]]:

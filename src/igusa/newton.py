@@ -5,17 +5,18 @@ its recession cone is always R_+^n.  Facets are enumerated exactly as the
 facets of the homogenisation cone{(m, 1)} + cone{(e_j, 0)}, leaving out the
 one at infinity.  ``cone_facet_normals`` finds the facets of any rational
 cone, and the fan's triangulation walls and cone membership tests use it
-too: each candidate normal is the integer kernel of dim-1 generators and
-the span's equations, read off the fraction-free elimination, and it
-survives when every generator lies on one side.  This is exhaustive and
-exact at the scales this package targets (n <= 6, a few dozen support
-points).
+too.  It runs the double description method (Fukuda and Prodon, "Double
+description method revisited", 1996): the facets of a simplicial cone on a
+basis of generators are integer kernels read off the fraction-free
+elimination, and each further generator cuts them, combining the adjacent
+facet pairs it separates.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import product
+from math import gcd
 from operator import mul
 
 from . import linalg
@@ -96,33 +97,52 @@ def cone_facet_normals(gens) -> list[tuple[int, ...]]:
     """Primitive integer inner facet normals of cone(gens), inside span(gens).
 
     Each returned vector u lies in span(gens) and satisfies <u, g> >= 0 for
-    all generators, with equality on a subset of rank dim-1.  The candidates
-    are the one-dimensional kernels of each (dim-1)-subset of the generators
-    together with the equations of the span; such a subset has rank dim-1,
-    so a candidate with every generator on one side is a facet normal.  The
-    normals come in the order of their first subset; a ray's one facet is
-    {0}, with normal its generator.  Works in any dimension at the small
-    scales used here.
+    all generators, with equality on a subset of rank dim-1.  They are the
+    extreme rays of the dual cone, found by double description (Fukuda and
+    Prodon 1996): start from the simplicial cone of a greedy basis, whose
+    facets are integer kernels (``linalg.kernel_vector``), then cut by each
+    other generator in index order.  A facet with the generator on its
+    negative side is dropped, and each adjacent pair across the cut gives the
+    primitive combination on the cut.  Adjacency is combinatorial: no third
+    facet's zero set (its generators on the hyperplane) contains the pair's
+    common zero set, which is exact since the dual cone is pointed inside the
+    span.  The normals come in the order of the lexicographically first
+    independent dim-1 generators of their zero sets; a ray's one facet is
+    {0}, with normal its generator.
     """
     ncols = len(gens[0])
     eqs = [linalg.primitive_integer_vector(v) for v in linalg.nullspace(gens)]
     dim = ncols - len(eqs)
-    out = []
-    seen = set()
-    for subset in combinations(gens, dim - 1):
-        u = linalg.kernel_vector(list(subset) + eqs, ncols)
-        if u is None or u in seen:
+    basis = _greedy_basis(gens, list(range(len(gens))), dim)
+    facets = []  # (normal, indices of the generators on its hyperplane)
+    for b in basis:
+        u = linalg.kernel_vector([gens[c] for c in basis if c != b] + eqs, ncols)
+        facets.append((u if sum(map(mul, u, gens[b])) > 0 else tuple(-x for x in u), set(basis) - {b}))
+    for k, g in enumerate(gens):
+        if k in basis:
             continue
-        seen.add(u)
-        lo = hi = 0
-        for g in gens:
-            side = sum(map(mul, u, g))
-            lo, hi = min(lo, side), max(hi, side)
-            if lo < 0 < hi:
-                break
-        else:
-            out.append(u if lo == 0 else tuple(-x for x in u))
-    return out
+        sides = [sum(map(mul, u, g)) for u, _ in facets]
+        pos = [i for i, s in enumerate(sides) if s > 0]
+        neg = [j for j, s in enumerate(sides) if s < 0]
+        cut = []
+        for i, j in product(pos, neg):
+            (ui, zi), (uj, zj) = facets[i], facets[j]
+            z = zi & zj
+            if len(z) < dim - 2 or any(z <= zt for t, (_, zt) in enumerate(facets) if t != i and t != j):
+                continue
+            w = [sides[i] * y - sides[j] * x for x, y in zip(ui, uj)]
+            d = gcd(*w)
+            cut.append((tuple(x // d for x in w), z | {k}))
+        facets = [(u, z | {k} if s == 0 else z) for s, (u, z) in zip(sides, facets) if s >= 0] + cut
+    keyed = sorted((_greedy_basis(gens, sorted(z), dim - 1), u) for u, z in facets)
+    return [u for _, u in keyed]
+
+
+def _greedy_basis(gens, indices: list[int], size: int) -> list[int]:
+    """The lexicographically first ``size`` independent generators of
+    ``indices``: the pivot columns of the matrix with them as columns."""
+    rref = linalg.row_echelon(list(zip(*(gens[i] for i in indices))))
+    return [indices[next(c for c, x in enumerate(row) if x)] for row in rref if any(row)][:size]
 
 
 @dataclass

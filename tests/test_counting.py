@@ -195,6 +195,14 @@ class TestGoodReduction:
         with pytest.raises(ValueError):
             check_good_reduction(degenerate_curve(), PrimeContext(3))
 
+    def test_constant_jacobian_ranked_once(self, monkeypatch):
+        # The head x+y-z has a constant Jacobian: one rank for its 529 zeros.
+        calls = []
+        real = counting._rank_mod_p
+        monkeypatch.setattr(counting, "_rank_mod_p", lambda rows, p: calls.append(rows) or real(rows, p))
+        assert check_good_reduction(sys71(), PrimeContext(23))
+        assert len(calls) == 1
+
 
 # ---------------------------------------------------------------------------
 # Point-by-point reference: itertools.product order and scalar evaluate_mod

@@ -7,6 +7,7 @@ from igusa import linalg
 from igusa.newton import (
     Facet,
     build_polyhedron,
+    cone_facet_normals,
     first_meet_locus,
     polyhedron_from_points,
     support_value,
@@ -220,3 +221,94 @@ class TestAgainstHyperplaneSearch:
     def test_systems(self, variables, polys):
         gamma = system_polyhedron(PolySystem(len(variables), [parse_polynomial(f, variables) for f in polys]))
         assert gamma.facets == _hyperplane_facets(gamma.n, gamma.generators)
+
+
+def _subset_facet_normals(gens):
+    """Reference: the exhaustive facet search that double description
+    replaced.  Every (dim-1)-subset of the generators, with the span's
+    equations, gives a candidate kernel; it is a facet normal when every
+    generator lies on one side.  Normals come in the order of their first
+    subset."""
+    ncols = len(gens[0])
+    eqs = [linalg.primitive_integer_vector(v) for v in linalg.nullspace(gens)]
+    dim = ncols - len(eqs)
+    out, seen = [], set()
+    for subset in combinations(gens, dim - 1):
+        u = linalg.kernel_vector(list(subset) + eqs, ncols)
+        if u is None or u in seen:
+            continue
+        seen.add(u)
+        sides = [sum(a * x for a, x in zip(u, g)) for g in gens]
+        if min(sides) >= 0:
+            out.append(u)
+        elif max(sides) <= 0:
+            out.append(tuple(-x for x in u))
+    return out
+
+
+def _random_cone(rng, n):
+    """Up to dim+5 random combinations of a random basis of a dim-space;
+    coefficients of both signs sometimes, so the cone need not be pointed."""
+    dim = max(1, n - rng.choice((0, 0, 1, 2)))
+    basis = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(dim)]
+    low = rng.choice((0, 0, -1))
+    gens = []
+    for _ in range(rng.randint(1, dim + 5)):
+        c = [rng.randint(low, 3) for _ in range(dim)]
+        g = tuple(sum(ci * b[j] for ci, b in zip(c, basis)) for j in range(n))
+        if any(g):
+            gens.append(g)
+    return gens
+
+
+def _homogenisation_cone(n, pts):
+    return [tuple(int(i == j) for j in range(n)) + (0,) for i in range(n)] + [tuple(m) + (1,) for m in pts]
+
+
+NAMED_SYSTEMS = {
+    "ex71": (V3, ["x+y-z", "x^8+y^8+z^8+x^2*y^2*z^2"]),
+    "quadric-4var": (V4, ["x+2*y+z^2-w", "x^2+3*y^2+z^2+2*w^2"]),
+    "sextic-4var": (V4, ["x+2*y+z^2-w", "x^6+y^6+z^6+w^6+x^2*y^2*z*w+x*y^3*w"]),
+    "15-normals": (V3, ["x+y+z", "x^12+y^11+z^10+x^6*y+y^5*z^2+z^4*x^3+x^2*y^3*z+x*y*z^4+x^3*y^4"]),
+    "17-normals": (V3, ["x+y+z", "x^17+y^16+z^15+x^9*y+y^8*z+z^7*x+x^5*y^3+y^5*z^3+z^5*x^3"
+                                 "+x^2*y^2*z^2+x*y^6*z+x^3*y*z^4"]),
+}
+
+
+def _named_system(name):
+    variables, polys = NAMED_SYSTEMS[name]
+    return PolySystem(len(variables), [parse_polynomial(f, variables) for f in polys])
+
+
+class TestDoubleDescription:
+    """cone_facet_normals against the exhaustive subset search, in order."""
+
+    def test_random_cones(self):
+        rng = random.Random(20261019)
+        for t in range(600):
+            gens = _random_cone(rng, 1 + t % 5)
+            if gens:
+                assert cone_facet_normals(gens) == _subset_facet_normals(gens), gens
+
+    def test_random_homogenisation_cones(self):
+        rng = random.Random(20261020)
+        for t in range(120):
+            n = 1 + t % 5
+            pts = sorted({tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(1, 10 - n))})
+            gens = _homogenisation_cone(n, pts)
+            assert cone_facet_normals(gens) == _subset_facet_normals(gens), pts
+
+    @pytest.mark.parametrize("name", sorted(NAMED_SYSTEMS))
+    def test_named_systems(self, name):
+        gamma = system_polyhedron(_named_system(name))
+        gens = _homogenisation_cone(gamma.n, gamma.generators)
+        assert cone_facet_normals(gens) == _subset_facet_normals(gens)
+
+    @pytest.mark.parametrize("name", ["sextic-4var", "17-normals"])
+    def test_eliminations_counted(self, name, monkeypatch):
+        # The subset search made 17,570 and 5,479 eliminations here.
+        calls = []
+        real = linalg._eliminate
+        monkeypatch.setattr(linalg, "_eliminate", lambda rows: calls.append(1) or real(rows))
+        system_polyhedron(_named_system(name))
+        assert len(calls) < 500
