@@ -18,11 +18,12 @@ minimising g = gcd(|a'_j|, p-1), x_j runs over the g coset representatives
 zeta^0, ..., zeta^(g-1) of (F_p^x)^{a'_j} (zeta a primitive root) and the
 other coordinates over all of F_p^x.  Every orbit meets the slice, each
 torus point is hit g times by F_p^x x slice, so counts are the slice's
-times (p-1)/g.  That is g (p-1)^(n-1) points instead of (p-1)^n.  a = 0
-(the constant chart term and the global "including the origin"
-direction) is scanned in full.  A degeneracy witness is the
-lexicographically first failing point of the whole torus: when a slice
-finds a failure, that one direction is rescanned in full.
+times (p-1)/g.  That is g (p-1)^(n-1) points instead of (p-1)^n, and the
+budget is checked at that size.  a = 0 (the constant chart term and the
+global "including the origin" direction) is scanned in full.  A degeneracy
+witness is the lexicographically first failing point of the whole torus:
+the least image (t^{a'_1} z_1, ..., t^{a'_n} z_n), t in F_p^x, of the
+slice's failures z, as every failure is such an image with the same rank.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import fan as fan_mod
 from .errors import DEFAULT_ENUM_BUDGET, check_budget
-from .polycore import IntPolynomial, PolySystem, PrimeContext, eval_on_grid, face_function, grid_chunks, grid_zeros
+from .polycore import IntPolynomial, PolySystem, PrimeContext, eval_on_grid, face_function, grid_zeros
 from .polycore import primitive_root, product_chunks
 
 
@@ -79,6 +80,14 @@ def _torus_slice(a, n: int, p: int) -> tuple[list[np.ndarray], int]:
     return axes, (p - 1) // g
 
 
+def _zeros(polys, axes, p: int, budget: int, what: str):
+    """Yield, chunk by chunk, the common zeros of ``polys`` in the product of
+    ``axes``, after checking the product's size against the budget."""
+    check_budget(math.prod(map(len, axes)), budget, what)
+    for coords in product_chunks(axes):
+        yield grid_zeros(polys, coords, p)
+
+
 def torus_count(sys: PolySystem, a, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET) -> TorusCount:
     """Exact counts of the face system of direction a on the torus (F_p^x)^n.
 
@@ -87,12 +96,10 @@ def torus_count(sys: PolySystem, a, ctx: PrimeContext, budget: int = DEFAULT_ENU
     """
     p = ctx.p
     axes, weight = _torus_slice(a, sys.n, p)
-    check_budget(math.prod(map(len, axes)), budget, "torus enumeration")
     faces = [face_function(f, a) for f in sys.polys]
     c_open = 0
     c_closed = 0
-    for coords in product_chunks(axes):
-        head = grid_zeros(faces[:-1], coords, p)
+    for head in _zeros(faces[:-1], axes, p, budget, "torus enumeration"):
         closed = int(np.count_nonzero(eval_on_grid(faces[-1], head, p) == 0))
         c_closed += closed
         c_open += len(head[0]) - closed
@@ -131,24 +138,22 @@ def jacobian_rank(polys: list[IntPolynomial], z, ctx: PrimeContext) -> int:
     return _rank_mod_p([[d.evaluate_mod(z, ctx.p) for d in row] for row in _jacobian(polys)], ctx.p)
 
 
-def _ranks_at(jac: list[list[IntPolynomial]], coords: list[np.ndarray], p: int) -> list[tuple[tuple[int, ...], int]]:
-    """(point, Jacobian rank over F_p) at each point of the coordinate arrays;
-    each distinct matrix of values is ranked once."""
+def _failures(jac: list[list[IntPolynomial]], coords: list[np.ndarray], p: int, target: int) -> list[tuple[tuple[int, ...], int]]:
+    """(point, Jacobian rank over F_p) at the points of the coordinate arrays
+    whose rank is not ``target``; each distinct value matrix is ranked once."""
     values = [[eval_on_grid(d, coords, p).tolist() for d in row] for row in jac]
     matrices = [tuple(tuple(v[k] for v in row) for row in values) for k in range(len(coords[0]))]
     ranks = {m: _rank_mod_p(m, p) for m in set(matrices)}
-    return list(zip(zip(*(x.tolist() for x in coords)), map(ranks.get, matrices)))
+    points = [x.tolist() for x in coords]
+    return [(tuple(x[k] for x in points), ranks[m]) for k, m in enumerate(matrices) if ranks[m] != target]
 
 
-def _rank_failures(faces, jac, axes, p: int, target: int, budget: int) -> list[tuple[tuple[int, ...], int]]:
-    """(point, rank) at every common zero of ``faces`` in the product of
-    ``axes`` whose Jacobian rank is not ``target``."""
-    check_budget(math.prod(map(len, axes)), budget, "non-degeneracy enumeration")
-    failures = []
-    for coords in product_chunks(axes):
-        zeros = grid_zeros(faces, coords, p)
-        failures += [(z, r) for z, r in _ranks_at(jac, zeros, p) if r != target]
-    return failures
+def _least_image(failures, a, p: int) -> tuple[tuple[int, ...], int]:
+    """The least (t.z, rank) over t in F_p^x and the failing slice points z:
+    the first failure on the whole torus (see the module docstring)."""
+    c = math.gcd(*a)
+    scales = [[pow(t, x // c, p) for x in a] for t in range(1, p)] if c else [[1] * len(a)]
+    return min((tuple(s * x % p for s, x in zip(scale, z)), r) for scale in scales for z, r in failures)
 
 
 def check_nondegenerate(
@@ -164,7 +169,8 @@ def check_nondegenerate(
     integer representative per cone covers every positive vector; a = 0 is
     added in the global case (the paper's "including the origin").  For
     each representative direction, every common torus zero of all l face
-    polynomials must have Jacobian rank min(l, n).  The first failure is
+    polynomials must have Jacobian rank min(l, n).  One orbit slice is
+    scanned per direction, and the first failure on the whole torus is
     returned as an independently checkable witness.  The subdivision is
     built here unless the caller passes the one it already has.
     """
@@ -184,12 +190,10 @@ def check_nondegenerate(
     for a in directions:
         faces = [face_function(f, a) for f in sys.polys]
         jac = _jacobian(faces)
-        failures = _rank_failures(faces, jac, _torus_slice(a, sys.n, p)[0], p, target, budget)
-        if failures and any(a):
-            # The slice proves degeneracy; the witness comes from the whole torus.
-            failures = _rank_failures(faces, jac, [np.arange(1, p)] * sys.n, p, target, budget)
+        zeros = _zeros(faces, _torus_slice(a, sys.n, p)[0], p, budget, "non-degeneracy enumeration")
+        failures = [f for z in zeros for f in _failures(jac, z, p, target)]
         if failures:
-            z, r = min(failures)
+            z, r = _least_image(failures, a, p)
             return NondegCertificate(False, scope, p, NondegWitness(tuple(a), z, r), len(directions), subdivision)
     return NondegCertificate(True, scope, p, None, len(directions), subdivision)
 
@@ -214,10 +218,6 @@ def check_good_reduction(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAU
         raise ValueError("good reduction concerns the first l-1 polynomials; need l >= 2")
     p = ctx.p
     head = sys.polys[:-1]
-    check_budget(p**sys.n, budget, "good-reduction enumeration")
     jac = _jacobian(head)
-    for coords in grid_chunks(np.arange(p), sys.n):
-        zeros = grid_zeros(head, coords, p)
-        if any(r != sys.l - 1 for _, r in _ranks_at(jac, zeros, p)):
-            return False
-    return True
+    zeros = _zeros(head, [np.arange(p)] * sys.n, p, budget, "good-reduction enumeration")
+    return not any(_failures(jac, z, p, sys.l - 1) for z in zeros)

@@ -249,38 +249,6 @@ def parse_polynomial(text: str, variables) -> IntPolynomial:
     return IntPolynomial(n, terms)
 
 
-def format_polynomial(f: IntPolynomial, variables) -> str:
-    """Canonical rendering; parse(format(f)) == f."""
-    variables = list(variables)
-    if f.is_zero():
-        # The grammar has no literal zero; "x - x" is the canonical spelling.
-        v = variables[0]
-        return f"{v} - {v}"
-    parts = []
-    for m in sorted(f.terms, reverse=True):
-        c = f.terms[m]
-        factors = []
-        for j, e in enumerate(m):
-            if e == 1:
-                factors.append(variables[j])
-            elif e > 1:
-                factors.append(f"{variables[j]}^{e}")
-        body = "*".join(factors)
-        mag = abs(c)
-        if not factors:
-            piece = str(mag)  # unreachable for f(0)=0 inputs, kept for safety
-        elif mag == 1:
-            piece = body
-        else:
-            piece = f"{mag}*{body}"
-        parts.append(("-" if c < 0 else "+", piece))
-    sign0, piece0 = parts[0]
-    out = piece0 if sign0 == "+" else f"-{piece0}"
-    for sign, piece in parts[1:]:
-        out += f" {sign} {piece}"
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Faces, evaluation, convenience
 # ---------------------------------------------------------------------------
@@ -341,14 +309,6 @@ def eval_on_grid(f: IntPolynomial, coords: list[np.ndarray], modulus: int) -> np
                 term = (term * p_acc) % modulus
         total = (total + term) % modulus
     return total
-
-
-def grid_chunks(axis, n: int):
-    """Yield coordinate arrays covering axis^n, GRID_CHUNK points at a time.
-
-    Coordinate 0 varies fastest.
-    """
-    return product_chunks([axis] * n)
 
 
 def product_chunks(axes):

@@ -121,15 +121,9 @@ def compute_L(sys: PolySystem, ctx: PrimeContext, direction, budget: int = DEFAU
     q = ctx.q
     counts = torus_count(sys, direction, ctx, budget)
     scale = qpow(q, -(sys.n - sys.l + 1))
-    open_part = FactoredRationalFunction(q, {0: scale * counts.c_open})
-    if counts.c_closed:
-        closed_part = FactoredRationalFunction(
-            q,
-            {1: scale * counts.c_closed * (1 - Fraction(1, q))},
-            {(-1, 1): 1},
-        )
-        return open_part + closed_part
-    return open_part
+    # Over the denominator 1 - q^{-1} t, which cancels when c_closed = 0.
+    num = {0: scale * counts.c_open, 1: scale * (counts.c_closed * (1 - Fraction(1, q)) - Fraction(counts.c_open, q))}
+    return FactoredRationalFunction(q, num, {(-1, 1): 1})
 
 
 def candidate_poles(sys: PolySystem, fan: Fan | None = None) -> CandidatePoles:

@@ -43,6 +43,17 @@ prime = 3
 2*x^8 + 8*x^7*y + 28*x^6*y^2 + 56*x^5*y^3 + 70*x^4*y^4 + 56*x^3*y^5 + 28*x^2*y^6 + 8*x*y^7 + 2*y^8 + x^4*y^2 + 2*x^3*y^3 + x^2*y^4
 """
 
+# (x^3 - y^2)^2 at p = 13: the orbit slice of direction (2, 3) has 24
+# points and the torus 144, so a budget of 100 admits the slice only.
+JOB_CUSP_SQUARED = """\
+vars = x, y
+prime = 13
+budget = 100
+
+[polys]
+x^6 - 2*x^3*y^2 + y^4
+"""
+
 JOB_BAD_POLY = """\
 vars = x, y
 prime = 5
@@ -297,6 +308,13 @@ class TestMain:
         path = _write(tmp_path, JOB_DEGENERATE)
         code = main(["check", "--input", path])
         assert code == 2
+
+    def test_cli_witness_within_budget_exit_2(self, tmp_path):
+        out_json = tmp_path / "report.json"
+        code = main(["check", "--input", _write(tmp_path, JOB_CUSP_SQUARED), "--json", str(out_json)])
+        assert code == 2
+        w = json.loads(out_json.read_text())["certificates"]["nondegenerate"]["witness"]
+        assert w == {"direction": [2, 3], "point": [1, 1], "rank": 0}
 
     def test_cli_zeta_on_degenerate_exit_2(self, tmp_path):
         # engine modes refuse l=1 input as a config error

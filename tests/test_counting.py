@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ from igusa.polycore import (
     PrimeContext,
     eval_on_grid,
     face_function,
-    grid_chunks,
     grid_zeros,
     parse_polynomial,
+    product_chunks,
 )
 
 V2 = ["x", "y"]
@@ -298,7 +299,7 @@ def full_grid_torus_count(s, a, p):
     """(c_open, c_closed) over every point of the torus (F_p^x)^n."""
     faces = [face_function(f, a) for f in s.polys]
     c_open = c_closed = 0
-    for coords in grid_chunks(np.arange(1, p), s.n):
+    for coords in product_chunks([np.arange(1, p)] * s.n):
         head = grid_zeros(faces[:-1], coords, p)
         closed = int(np.count_nonzero(eval_on_grid(faces[-1], head, p) == 0))
         c_open += len(head[0]) - closed
@@ -411,8 +412,8 @@ def _in_slice(s, p, w):
 
 
 class TestSlicedWitness:
-    """A sliced scan only decides that a direction fails; the witness is
-    still the full-torus reference's."""
+    """The witness is the least image of a slice's failures under the torus
+    action, and still the full-torus reference's."""
 
     @pytest.mark.parametrize("at_origin", [False, True])
     @pytest.mark.parametrize("p", [5, 7, 13])
@@ -436,6 +437,29 @@ class TestSlicedWitness:
         w = cert.witness
         assert (w.direction, w.point, w.rank) == reference_witness(s, ctx, False) == ((2, 1), (1, 2), 0)
         assert not _in_slice(s, 5, w) and verify_witness(s, ctx, w)
+
+    @pytest.mark.parametrize("at_origin", [False, True])
+    def test_witness_within_the_budget(self, at_origin):
+        # The slice of direction (2, 3) at p = 13 has 24 points and the torus
+        # 144: a budget of 100 admits the slice, which alone gives the witness.
+        s = PolySystem(2, [parse_polynomial("x^6 - 2*x^3*y^2 + y^4", V2)])
+        ctx = PrimeContext(13)
+        cert = check_nondegenerate(s, ctx, at_origin=at_origin, budget=100)
+        w = cert.witness
+        assert not cert.ok
+        assert (w.direction, w.point, w.rank) == reference_witness(s, ctx, at_origin) == ((2, 3), (1, 1), 0)
+        assert verify_witness(s, ctx, w)
+
+    def test_non_primitive_direction(self):
+        # Direction (4, 2) has the face system of (2, 1), and F_p^x acts
+        # through a' = (2, 1): at p = 5 the slice's only failure (4, 1) maps
+        # to the torus's first failure (1, 2), which t -> (t^4, t^2) misses.
+        s = PolySystem(2, [parse_polynomial("y^4 - 8*x*y^2 + 16*x^2", V2)])
+        ctx = PrimeContext(5)
+        sub = SimpleNamespace(cones=[SimpleNamespace(interior_point=lambda: (4, 2))])
+        w = check_nondegenerate(s, ctx, subdivision=sub).witness
+        assert (w.direction, w.point, w.rank) == ((4, 2), (1, 2), 0)
+        assert verify_witness(s, ctx, w)
 
     def test_seeded_degenerate_systems(self):
         outside = 0

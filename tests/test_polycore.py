@@ -12,8 +12,6 @@ from igusa.polycore import (
     eval_on_grid,
     evaluate_mod,
     face_function,
-    format_polynomial,
-    grid_chunks,
     is_convenient,
     parse_polynomial,
     primitive_root,
@@ -68,15 +66,16 @@ class TestParse:
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("x + (y)", V2)
 
-    @pytest.mark.parametrize(
-        "text",
-        ["x+y-z", "x^8+y^8+z^8+x^2*y^2*z^2", "-2*x^3*y + 7*z^2 - x", "x - x"],
-    )
-    def test_roundtrip(self, text):
-        f = parse_polynomial(text, V3)
-        rendered = format_polynomial(f, V3)
-        assert parse_polynomial(rendered, V3) == f
-        assert format_polynomial(parse_polynomial(rendered, V3), V3) == rendered
+    EXPLICIT = {
+        "x+y-z": {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -1},
+        "x^8+y^8+z^8+x^2*y^2*z^2": {(8, 0, 0): 1, (0, 8, 0): 1, (0, 0, 8): 1, (2, 2, 2): 1},
+        "-2*x^3*y + 7*z^2 - x": {(3, 1, 0): -2, (0, 0, 2): 7, (1, 0, 0): -1},
+        "x - x": {},
+    }
+
+    @pytest.mark.parametrize("text", EXPLICIT)
+    def test_explicit_terms(self, text):
+        assert parse_polynomial(text, V3) == IntPolynomial(3, self.EXPLICIT[text])
 
 
 class TestFaceFunction:
@@ -142,21 +141,14 @@ class TestGrid:
         with pytest.raises(ModulusOverflowError):
             eval_on_grid(f, [x], below + 1)
 
-    def test_chunks_cover_grid_in_order(self, monkeypatch):
-        monkeypatch.setattr(polycore, "GRID_CHUNK", 7)
-        chunks = list(grid_chunks([1, 2, 4], 3))
-        assert [len(c[0]) for c in chunks] == [7, 7, 7, 6]
-        points = [tuple(x[k] for x in c) for c in chunks for k in range(len(c[0]))]
-        # coordinate 0 varies fastest
-        assert points == [z[::-1] for z in product([1, 2, 4], repeat=3)]
-
     def test_product_chunks_mixed_axes(self, monkeypatch):
-        monkeypatch.setattr(polycore, "GRID_CHUNK", 4)
-        axes = [[1, 2, 3], [5], [2, 7]]
-        chunks = list(product_chunks(axes))
-        assert [len(c[0]) for c in chunks] == [4, 2]
-        points = [tuple(x[k] for x in c) for c in chunks for k in range(len(c[0]))]
-        assert points == [z[::-1] for z in product(*axes[::-1])]
+        for chunk, axes, sizes in [(4, [[1, 2, 3], [5], [2, 7]], [4, 2]), (7, [[1, 2, 4]] * 3, [7, 7, 7, 6])]:
+            monkeypatch.setattr(polycore, "GRID_CHUNK", chunk)
+            chunks = list(product_chunks(axes))
+            assert [len(c[0]) for c in chunks] == sizes
+            points = [tuple(x[k] for x in c) for c in chunks for k in range(len(c[0]))]
+            # coordinate 0 varies fastest
+            assert points == [z[::-1] for z in product(*axes[::-1])]
 
 
 class TestPrimitiveRoot:
