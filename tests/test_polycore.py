@@ -141,14 +141,21 @@ class TestGrid:
         with pytest.raises(ModulusOverflowError):
             eval_on_grid(f, [x], below + 1)
 
+    def test_chunks_cover_grid_in_order(self, monkeypatch):
+        monkeypatch.setattr(polycore, "GRID_CHUNK", 7)
+        chunks = list(product_chunks([[1, 2, 4]] * 3))
+        assert [len(c[0]) for c in chunks] == [7, 7, 7, 6]
+        points = [tuple(x[k] for x in c) for c in chunks for k in range(len(c[0]))]
+        # coordinate 0 varies fastest
+        assert points == [z[::-1] for z in product([1, 2, 4], repeat=3)]
+
     def test_product_chunks_mixed_axes(self, monkeypatch):
-        for chunk, axes, sizes in [(4, [[1, 2, 3], [5], [2, 7]], [4, 2]), (7, [[1, 2, 4]] * 3, [7, 7, 7, 6])]:
-            monkeypatch.setattr(polycore, "GRID_CHUNK", chunk)
-            chunks = list(product_chunks(axes))
-            assert [len(c[0]) for c in chunks] == sizes
-            points = [tuple(x[k] for x in c) for c in chunks for k in range(len(c[0]))]
-            # coordinate 0 varies fastest
-            assert points == [z[::-1] for z in product(*axes[::-1])]
+        monkeypatch.setattr(polycore, "GRID_CHUNK", 4)
+        axes = [[1, 2, 3], [5], [2, 7]]
+        chunks = list(product_chunks(axes))
+        assert [len(c[0]) for c in chunks] == [4, 2]
+        points = [tuple(x[k] for x in c) for c in chunks for k in range(len(c[0]))]
+        assert points == [z[::-1] for z in product(*axes[::-1])]
 
 
 class TestPrimitiveRoot:
