@@ -24,6 +24,15 @@ global "including the origin" direction) is scanned in full.  A degeneracy
 witness is the lexicographically first failing point of the whole torus:
 the least image (t^{a'_1} z_1, ..., t^{a'_n} z_n), t in F_p^x, of the
 slice's failures z, as every failure is such an image with the same rank.
+
+One pass over a slice gives the head zeros (c_open + c_closed), the common
+zeros (c_closed) and the first failure.  All three depend only on the face
+polynomials, so each face system is scanned once per prime and the result
+is kept on the ``PolySystem`` (``_scan``): every certificate and every
+``torus_count`` call whose direction has that face system reads it.  Good
+reduction is kept the same way.  The budget is still checked at each
+caller's own slice size (p^n for good reduction) before the kept result is
+read, so a call refused on a fresh system is refused on a scanned one.
 """
 
 from __future__ import annotations
@@ -80,30 +89,13 @@ def _torus_slice(a, n: int, p: int) -> tuple[list[np.ndarray], int]:
     return axes, (p - 1) // g
 
 
-def _zeros(polys, axes, p: int, budget: int, what: str):
-    """Yield, chunk by chunk, the common zeros of ``polys`` in the product of
-    ``axes``, after checking the product's size against the budget."""
-    check_budget(math.prod(map(len, axes)), budget, what)
-    for coords in product_chunks(axes):
-        yield grid_zeros(polys, coords, p)
-
-
 def torus_count(sys: PolySystem, a, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET) -> TorusCount:
     """Exact counts of the face system of direction a on the torus (F_p^x)^n.
 
     a = 0 means the full polynomials (used for the constant-chart term).
     Only one orbit slice is scanned when a != 0 (see the module docstring).
     """
-    p = ctx.p
-    axes, weight = _torus_slice(a, sys.n, p)
-    faces = [face_function(f, a) for f in sys.polys]
-    c_open = 0
-    c_closed = 0
-    for head in _zeros(faces[:-1], axes, p, budget, "torus enumeration"):
-        closed = int(np.count_nonzero(eval_on_grid(faces[-1], head, p) == 0))
-        c_closed += closed
-        c_open += len(head[0]) - closed
-    return TorusCount(weight * c_open, weight * c_closed)
+    return TorusCount(*_scan(sys, a, ctx.p, budget, "torus enumeration")[0])
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
@@ -156,6 +148,40 @@ def _least_image(failures, a, p: int) -> tuple[tuple[int, ...], int]:
     return min((tuple(s * x % p for s, x in zip(scale, z)), r) for scale in scales for z, r in failures)
 
 
+def _content(polys) -> tuple:
+    """A hashable key for the coefficients of ``polys``, in order."""
+    return tuple(tuple(sorted(f.terms.items())) for f in polys)
+
+
+def _scan(sys: PolySystem, a, p: int, budget: int, what: str) -> tuple[tuple[int, int], tuple[tuple[int, ...], int] | None]:
+    """((c_open, c_closed), first failure on the torus or None) for the face
+    system of direction a over F_p.
+
+    The budget is checked at a's slice size on every call.  The scan itself
+    runs once per face system and prime: both results depend only on the
+    face polynomials (see the module docstring), so they are kept on ``sys``
+    under the face system's content and shared by every direction and
+    caller that meets it.
+    """
+    axes, weight = _torus_slice(a, sys.n, p)
+    check_budget(math.prod(map(len, axes)), budget, what)
+    faces = [face_function(f, a) for f in sys.polys]
+    key = (p, _content(faces))
+    if key not in sys.scans:
+        jac = _jacobian(faces)
+        c_open = c_closed = 0
+        failures = []
+        for coords in product_chunks(axes):
+            head = grid_zeros(faces[:-1], coords, p)
+            common = grid_zeros(faces[-1:], head, p)
+            c_closed += len(common[0])
+            c_open += len(head[0]) - len(common[0])
+            failures += _failures(jac, common, p, min(sys.l, sys.n))
+        first = _least_image(failures, a, p) if failures else None
+        sys.scans[key] = ((weight * c_open, weight * c_closed), first)
+    return sys.scans[key]
+
+
 def check_nondegenerate(
     sys: PolySystem,
     ctx: PrimeContext,
@@ -170,13 +196,13 @@ def check_nondegenerate(
     added in the global case (the paper's "including the origin").  For
     each representative direction, every common torus zero of all l face
     polynomials must have Jacobian rank min(l, n).  One orbit slice is
-    scanned per direction, and the first failure on the whole torus is
-    returned as an independently checkable witness.  The subdivision is
-    built here unless the caller passes the one it already has.
+    scanned per face system (``_scan``), and the first failure on the whole
+    torus is returned as an independently checkable witness.  The
+    subdivision is built here unless the caller passes the one it already
+    has.
     """
     p = ctx.p
     scope = "at_origin" if at_origin else "global"
-    target = min(sys.l, sys.n)
     # Every direction's scan tests at least (p-1)^(n-1) points; refuse
     # before building the subdivision if even that is too many.
     check_budget((p - 1) ** (sys.n - 1), budget, "non-degeneracy enumeration")
@@ -188,12 +214,9 @@ def check_nondegenerate(
     else:
         directions.append((0,) * sys.n)
     for a in directions:
-        faces = [face_function(f, a) for f in sys.polys]
-        jac = _jacobian(faces)
-        zeros = _zeros(faces, _torus_slice(a, sys.n, p)[0], p, budget, "non-degeneracy enumeration")
-        failures = [f for z in zeros for f in _failures(jac, z, p, target)]
-        if failures:
-            z, r = _least_image(failures, a, p)
+        first = _scan(sys, a, p, budget, "non-degeneracy enumeration")[1]
+        if first is not None:
+            z, r = first
             return NondegCertificate(False, scope, p, NondegWitness(tuple(a), z, r), len(directions), subdivision)
     return NondegCertificate(True, scope, p, None, len(directions), subdivision)
 
@@ -212,12 +235,17 @@ def check_good_reduction(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAU
     """Does (f_1, ..., f_{l-1}) cut out a smooth variety over F_p?
 
     True iff the Jacobian of the first l-1 polynomials has rank l-1 at every
-    solution in the full affine space F_p^n.
+    solution in the full affine space F_p^n.  The verdict is kept on ``sys``
+    per prime and head; the budget is checked at p^n on every call.
     """
     if sys.l < 2:
         raise ValueError("good reduction concerns the first l-1 polynomials; need l >= 2")
     p = ctx.p
+    check_budget(p**sys.n, budget, "good-reduction enumeration")
     head = sys.polys[:-1]
-    jac = _jacobian(head)
-    zeros = _zeros(head, [np.arange(p)] * sys.n, p, budget, "good-reduction enumeration")
-    return not any(_failures(jac, z, p, sys.l - 1) for z in zeros)
+    key = (p, "good reduction", _content(head))
+    if key not in sys.scans:
+        jac = _jacobian(head)
+        chunks = product_chunks([np.arange(p)] * sys.n)
+        sys.scans[key] = not any(_failures(jac, grid_zeros(head, coords, p), p, sys.l - 1) for coords in chunks)
+    return sys.scans[key]

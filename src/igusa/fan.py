@@ -115,9 +115,6 @@ class Fan:
         """The simplicial refinement, computed on first use and kept."""
         return triangulate(self)
 
-    def cones_of_dim(self, d: int) -> list[Cone]:
-        return [c for c in self.cones if c.dim == d]
-
     def locate(self, point) -> list[Cone]:
         return [c for c in self.cones if c.contains_relint(point)]
 
@@ -317,14 +314,3 @@ def parallelepiped_points_with_coords(cone: Cone) -> list[tuple[Ray, tuple[Fract
             out.append((tuple(x // D for x in point), tuple(Fraction(v, D) for v in nu)))
     return sorted(out)
 
-
-def is_simple(cone: Cone) -> bool:
-    """Generators extend to a Z-basis, i.e. gcd of maximal minors is 1."""
-    if not cone.simplicial:
-        raise ValueError("simpleness is defined for simplicial cones")
-    gens = cone.generators
-    e = len(gens)
-    g = 0
-    for rows in combinations(range(cone.n), e):
-        g = gcd(g, linalg.det([[gens[k][r] for k in range(e)] for r in rows]).numerator)
-    return g == 1

@@ -75,6 +75,9 @@ class PolySystem:
 
     n: int
     polys: list[IntPolynomial]
+    # Per-prime scan results of face systems, keyed by their content (see
+    # ``counting._scan``); it lives as long as the system.
+    scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= len(self.polys) <= self.n:

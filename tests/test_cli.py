@@ -222,6 +222,29 @@ class TestRun:
         assert code == 0
         assert calls == {"system_polyhedron": 1, "triangulate": 1}
 
+    @pytest.mark.parametrize("mode", ["zeta", "zeta0", "all"])
+    def test_one_scan_per_face_system(self, mode, monkeypatch):
+        # Every F_p grid scan of the certificates and counts starts a
+        # product_chunks walk.  A job walks once per distinct face system
+        # among the subdivision's directions and a = 0, plus once for good
+        # reduction, however many cones and certificates read them.
+        import igusa.counting as counting_mod
+        from igusa.fan import dual_subdivision
+        from igusa.polycore import PolySystem, face_function, parse_polynomial
+
+        scans = []
+        real = counting_mod.product_chunks
+        monkeypatch.setattr(counting_mod, "product_chunks", lambda axes: scans.append(axes) or real(axes))
+        cfg = parse_config(JOB_71)
+        cfg.mode, cfg.prime, cfg.oracle_depth, cfg.expsum_levels = mode, 23, 1, 1
+        _, code = run(cfg)
+        assert code == 0
+        sys_ = PolySystem(3, [parse_polynomial(text, cfg.variables) for text in cfg.polys])
+        directions = [cone.interior_point() for cone in dual_subdivision(sys_).cones] + [(0, 0, 0)]
+        face_systems = {tuple(tuple(sorted(face_function(f, a).terms.items())) for f in sys_.polys) for a in directions}
+        assert len(face_systems) == 20
+        assert len(scans) == len(face_systems) + 1
+
     def test_report_determinism(self):
         cfg1 = parse_config(JOB_72)
         cfg2 = parse_config(JOB_72)

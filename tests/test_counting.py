@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from collections import Counter
 from itertools import product
 from types import SimpleNamespace
@@ -531,3 +532,81 @@ class TestSlicedBudget:
         with pytest.raises(BudgetExceededError) as err:
             check_nondegenerate(sys71(), PrimeContext(7), budget=35)
         assert err.value.required == 36
+
+
+# ---------------------------------------------------------------------------
+# Scans kept on the system: one per face system and prime
+# ---------------------------------------------------------------------------
+
+
+def _memo_cases():
+    cases = [pytest.param(degenerate_curve(), p, id=f"degenerate-p{p}") for p in (3, 5, 7)]
+    for n, l in ((2, 2), (3, 2), (3, 3)):
+        for p in (5, 7):
+            for a in SLICE_DIRECTIONS[n][:3]:
+                rng = random.Random(f"{n}-{l}-{p}-0-{a}")
+                s = PolySystem(n, [_random_polynomial(rng, n, a) for _ in range(l)])
+                cases.append(pytest.param(s, p, id=f"n{n}-l{l}-p{p}-{'.'.join(map(str, a))}"))
+    return cases
+
+
+def _refusal(call):
+    with pytest.raises(BudgetExceededError) as err:
+        call()
+    return err.value.required, str(err.value)
+
+
+class TestScanMemo:
+    """A scan kept on the system never changes an answer and never skips a
+    budget check: every call on a system whose scans are filled equals the
+    same call on a fresh copy."""
+
+    @pytest.mark.parametrize("system,p", _memo_cases())
+    def test_filled_equals_fresh(self, system, p):
+        ctx = PrimeContext(p)
+        s = PolySystem(system.n, system.polys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a random system need not be convenient
+            sub = dual_subdivision(s)
+        certs = {scope: check_nondegenerate(s, ctx, at_origin=scope, subdivision=sub) for scope in (False, True)}
+        assert s.scans
+        for scope, cert in certs.items():
+            again = check_nondegenerate(s, ctx, at_origin=scope, subdivision=sub)
+            fresh = check_nondegenerate(PolySystem(s.n, s.polys), ctx, at_origin=scope, subdivision=sub)
+            assert again == cert == fresh
+            if not cert.ok:
+                assert verify_witness(s, ctx, cert.witness)
+        directions = [barycenter(cone) for cone in triangulate(sub).cones] + [(0,) * s.n]
+        for a in directions:
+            tc = torus_count(s, a, ctx)
+            assert tc == torus_count(PolySystem(s.n, s.polys), a, ctx)
+            assert (tc.c_open, tc.c_closed) == full_grid_torus_count(s, a, p), a
+        if s.l >= 2:
+            verdict = check_good_reduction(s, ctx)
+            assert check_good_reduction(s, ctx) == verdict == check_good_reduction(PolySystem(s.n, s.polys), ctx)
+
+    @pytest.mark.parametrize("system,p", _memo_cases())
+    def test_filled_scans_keep_the_budget(self, system, p):
+        ctx = PrimeContext(p)
+        s = PolySystem(system.n, system.polys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            directions = [barycenter(cone) for cone in triangulate(dual_subdivision(s)).cones] + [(0,) * s.n]
+        for a in directions:
+            torus_count(s, a, ctx)
+        if s.l >= 2:
+            check_good_reduction(s, ctx)
+        for a in directions:
+            size = math.prod(len(x) for x in _torus_slice(a, s.n, p)[0])
+            one = SimpleNamespace(cones=[SimpleNamespace(interior_point=lambda a=a: a)])
+            for call in (
+                lambda t: torus_count(t, a, ctx, budget=size - 1),
+                lambda t: check_nondegenerate(t, ctx, budget=size - 1, subdivision=one),
+            ):
+                required, message = _refusal(lambda: call(s))
+                assert (required, message) == _refusal(lambda: call(PolySystem(s.n, s.polys)))
+                assert required == size
+        if s.l >= 2:
+            required, message = _refusal(lambda: check_good_reduction(s, ctx, budget=p**s.n - 1))
+            assert (required, message) == _refusal(lambda: check_good_reduction(PolySystem(s.n, s.polys), ctx, budget=p**s.n - 1))
+            assert required == p**s.n

@@ -89,7 +89,7 @@ class TestComputeL:
         s = sys71()
         ctx = PrimeContext(5)
         tri = triangulate(dual_subdivision(s))
-        for cone in tri.cones_of_dim(3):
+        for cone in [c for c in tri.cones if c.dim == 3]:
             assert compute_L(s, ctx, cone.interior_point()).is_zero()
 
     def test_72_ray(self):
