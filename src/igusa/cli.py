@@ -6,6 +6,10 @@ introduced by a line reading "[polys]" (one polynomial per line, the last
 entry being f_l).  '#' starts a comment.  Exit codes: 0 all checks pass,
 1 parse/config error, 2 hypothesis rejected (witness in the JSON detail),
 3 oracle mismatch, 4 enumeration budget exceeded.
+
+The zeta and poles sections show Z, the zeta function over the unit
+polydisc, except that zeta0 shows Z_0, the one around the origin, and poles
+and all fall back to Z_0 when the full engine refuses; such a job exits 2.
 """
 
 from __future__ import annotations
@@ -201,27 +205,20 @@ def run(config: JobConfig) -> tuple[dict, int]:
         _check(report, "hypotheses", ok, report["certificates"])
         return report, 0 if ok else 2
 
+    # zr also feeds the Poincare and prop3 checks, which need the full zeta.
     zr = None
-    zr0 = None
     if mode != "zeta0":
         try:
             zr = zeta_mod.zeta_full(sys_, ctx, budget, subdivision)
         except HypothesisError as exc:
             report["checks"].append({"name": "zeta_full_hypotheses", "passed": False, "detail": exc.detail()})
-    if mode in ("zeta0", "poles", "all"):
+    shown = zr
+    if mode == "zeta0" or (mode in ("poles", "all") and zr is None):
         try:
-            zr0 = zeta_mod.zeta_origin(sys_, ctx, budget, subdivision)
+            shown = zeta_mod.zeta_origin(sys_, ctx, budget, subdivision)
         except HypothesisError as exc:
             report["checks"].append({"name": "zeta_origin_hypotheses", "passed": False, "detail": exc.detail()})
 
-    primary = zr0 if mode == "zeta0" else zr
-    if mode in ("zeta", "zeta0") and primary is None:
-        return report, 2
-    if mode == "poles" and zr is None and zr0 is None:
-        report["poles"] = {"candidates": _candidates_json(zeta_mod.candidate_poles(sys_, tri)), "actual": None}
-        return report, 2
-
-    shown = primary if primary is not None else (zr if zr is not None else zr0)
     if shown is not None:
         report["zeta"] = _zeta_json(shown)
         report["poles"] = _poles_json(shown)
@@ -229,6 +226,13 @@ def run(config: JobConfig) -> tuple[dict, int]:
         _check(report, "pole_containment", contained, "actual pole lines within candidates + {-1}")
         if not contained:
             exit_code = max(exit_code, 3)
+    elif mode == "poles":
+        report["poles"] = {"candidates": _candidates_json(zeta_mod.candidate_poles(sys_, tri)), "actual": None}
+
+    if mode == "poincare" and (zr is None or not good_red):
+        detail = "good reduction fails" if not good_red else "engine hypotheses fail"
+        _check(report, "poincare_available", False, detail)
+        return report, 2
 
     oracle_section: dict = {}
     if mode in ("poincare", "congruence", "all"):
@@ -253,10 +257,6 @@ def run(config: JobConfig) -> tuple[dict, int]:
             oracle_section["poincare"] = {"series": _frf_json(series), "rows": rows}
             if not _check(report, "poincare_vs_congruence", all_match, rows):
                 exit_code = max(exit_code, 3)
-        elif mode == "poincare":
-            detail = "good reduction fails" if not good_red else "engine hypotheses fail"
-            _check(report, "poincare_available", False, detail)
-            return report, 2
 
     if mode in ("expsum", "all"):
         rows = []
@@ -291,8 +291,8 @@ def run(config: JobConfig) -> tuple[dict, int]:
     if oracle_section:
         report["oracle"] = oracle_section
 
-    if mode == "all" and zr is None and zr0 is None:
-        exit_code = max(exit_code, 2)
+    if exit_code == 0 and not all(c["passed"] for c in report["checks"]):
+        exit_code = 2
     return report, exit_code
 
 

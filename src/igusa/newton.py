@@ -169,7 +169,7 @@ def first_meet_locus(gamma: NewtonPolyhedron, a) -> FaceDescriptor:
 
 
 def support_min(points, a) -> int:
-    """min <a, m> over an explicit point set (no polyhedron needed)."""
+    """min <a, m> over an iterable of exponents m (no polyhedron needed)."""
     return min(_dot(a, m) for m in points)
 
 

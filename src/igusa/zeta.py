@@ -80,22 +80,20 @@ class ZetaReport:
     hypotheses: dict = field(default_factory=dict)
 
 
-def _exponent_pair(v, sys: PolySystem, supports) -> tuple[int, int]:
+def _exponent_pair(v, sys: PolySystem) -> tuple[int, int]:
     """x^v = q^a t^b with b = d(v, Gamma_l), a = -sigma(v) + sum_{j<l} d(v, Gamma_j)."""
-    b = newton.support_min(supports[-1], v)
-    a = -sum(v) + sum(newton.support_min(s, v) for s in supports[:-1])
+    b = newton.support_min(sys.polys[-1].terms, v)
+    a = -sum(v) + sum(newton.support_min(f.terms, v) for f in sys.polys[:-1])
     return a, b
 
 
-def compute_S(cone: Cone, sys: PolySystem, ctx: PrimeContext, supports=None) -> FactoredRationalFunction:
+def compute_S(cone: Cone, sys: PolySystem, ctx: PrimeContext) -> FactoredRationalFunction:
     """Lattice-point generating function of the open cone, in the x^v grading.
 
     The numerator runs over the (0,1] parallelepiped points (realised as the
     [0,1) points shifted by the generators whose coordinate vanishes); the
     denominator carries one factor (1 - x^{a_i}) per generator.
     """
-    if supports is None:
-        supports = [f.support() for f in sys.polys]
     q = ctx.q
     num: dict[int, Fraction] = {}
     for h, mu in parallelepiped_points_with_coords(cone):
@@ -103,11 +101,11 @@ def compute_S(cone: Cone, sys: PolySystem, ctx: PrimeContext, supports=None) -> 
         for g, m in zip(cone.generators, mu):
             if m == 0:
                 shifted = [x + y for x, y in zip(shifted, g)]
-        a, b = _exponent_pair(shifted, sys, supports)
+        a, b = _exponent_pair(shifted, sys)
         num[b] = num.get(b, Fraction(0)) + qpow(q, a)
     den: dict[tuple[int, int], int] = {}
     for g in cone.generators:
-        a, b = _exponent_pair(g, sys, supports)
+        a, b = _exponent_pair(g, sys)
         den[(a, b)] = den.get((a, b), 0) + 1
     return FactoredRationalFunction(q, num, den)
 
@@ -136,25 +134,23 @@ def candidate_poles(sys: PolySystem, fan: Fan | None = None) -> CandidatePoles:
     """
     if fan is None:
         fan = fan_mod.dual_subdivision(sys)
-    supports = [f.support() for f in sys.polys]
     lines: dict[Fraction, CandidateLine] = {}
     lines[Fraction(-1)] = CandidateLine(Fraction(-1), 1, [])
     gamma: Fraction | None = None
     for ray in fan.skeleton:
         if not all(x > 0 for x in ray):
             continue
-        d_l = newton.support_min(supports[-1], ray)
+        a, d_l = _exponent_pair(ray, sys)
         if d_l == 0:
             continue
-        numer = sum(ray) - sum(newton.support_min(s, ray) for s in supports[:-1])
-        re = Fraction(-numer, d_l)
+        re = Fraction(a, d_l)
         if re in lines:
             line = lines[re]
             line.period = lcm(line.period, d_l)
             line.rays.append(ray)
         else:
             lines[re] = CandidateLine(re, d_l, [ray])
-        if numer > 0 and (gamma is None or re > gamma):
+        if a < 0 and (gamma is None or re > gamma):
             gamma = re
     ordered = [lines[k] for k in sorted(lines, reverse=True)]
     return CandidatePoles(ordered, gamma, sys.n - sys.l + 1)
@@ -185,7 +181,6 @@ def _assemble(sys: PolySystem, ctx: PrimeContext, mode: str, budget: int, subdiv
     good_red = check_good_reduction(sys, ctx, budget)
 
     tri = cert.subdivision.triangulation
-    supports = [f.support() for f in sys.polys]
 
     contributions: list[ConeContribution] = []
     total = FactoredRationalFunction.zero(ctx.q)
@@ -194,7 +189,7 @@ def _assemble(sys: PolySystem, ctx: PrimeContext, mode: str, budget: int, subdiv
         if at_origin and not all(x > 0 for x in b):
             continue
         L = compute_L(sys, ctx, b, budget)
-        S = compute_S(cone, sys, ctx, supports)
+        S = compute_S(cone, sys, ctx)
         product = L * S
         contributions.append(ConeContribution(cone, L, S, product))
         total = total + product

@@ -93,6 +93,20 @@ x^17 + y^16 + z^15 + x^9*y + y^8*z + z^7*x + x^5*y^3 + y^5*z^3 + z^5*x^3 + x^2*y
 """
 
 
+# Globally degenerate at p = 5 but non-degenerate at the origin: the full
+# engine refuses and zeta_origin succeeds.
+JOB_ORIGIN_ONLY = """\
+vars = x, y
+prime = 5
+depth = 2
+expsum_levels = 2
+
+[polys]
+x - y
+y^3 - 2*x*y + x
+"""
+
+
 def _write(tmp_path, text, name="job.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -300,6 +314,77 @@ class TestRun:
         report, code = run(cfg)
         assert code == 3
         assert any(c["name"] == "poincare_vs_congruence" and not c["passed"] for c in report["checks"])
+
+
+class TestShownZeta:
+    """The engine runs only for the zeta function the report shows."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        import igusa.oracle as oracle_mod
+        import igusa.zeta as zeta_mod
+
+        calls = {}
+        for module, name in ((zeta_mod, "zeta_full"), (zeta_mod, "zeta_origin"), (oracle_mod, "congruence_table")):
+            real = getattr(module, name)
+            calls[name] = 0
+
+            def shim(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, shim)
+        return calls
+
+    @staticmethod
+    def _run(job, mode):
+        cfg = parse_config(job)
+        cfg.mode = mode
+        return run(cfg)
+
+    @pytest.mark.parametrize(
+        "mode, full, origin", [("zeta0", 0, 1), ("zeta", 1, 0), ("poles", 1, 0), ("all", 1, 0)]
+    )
+    def test_engine_calls_per_mode(self, mode, full, origin, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        report, code = self._run(JOB_71, mode)
+        assert code == 0
+        assert (calls["zeta_full"], calls["zeta_origin"]) == (full, origin)
+        assert report["zeta"]["mode"] == ("origin" if mode == "zeta0" else "full")
+
+    @pytest.mark.parametrize("mode", ["poles", "all"])
+    def test_origin_fallback_exits_2(self, mode, tmp_path, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        out_json = tmp_path / "report.json"
+        assert main([mode, "--input", _write(tmp_path, JOB_ORIGIN_ONLY), "--json", str(out_json)]) == 2
+        assert (calls["zeta_full"], calls["zeta_origin"]) == (1, 1)
+        blob = json.loads(out_json.read_text())
+        assert blob["zeta"]["mode"] == "origin"
+        assert [c["name"] for c in blob["checks"] if not c["passed"]] == ["zeta_full_hypotheses"]
+
+    @pytest.mark.parametrize("mode", ["expsum", "congruence"])
+    def test_refused_full_engine_exits_2(self, mode):
+        report, code = self._run(JOB_ORIGIN_ONLY, mode)
+        assert code == 2
+        assert report["zeta"] is None
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == ["zeta_full_hypotheses"]
+
+    def test_refused_poincare_builds_no_table(self, monkeypatch):
+        # Good reduction fails at p = 5, so the table would never be shown.
+        calls = self._count_calls(monkeypatch)
+        report, code = self._run(JOB_72, "poincare")
+        assert code == 2
+        assert calls["congruence_table"] == 0
+        assert report["oracle"] is None
+        assert report["checks"][-1] == {"name": "poincare_available", "passed": False, "detail": "good reduction fails"}
+
+    def test_shown_sections_agree_across_modes(self):
+        def shown(job, mode):
+            report, _ = self._run(job, mode)
+            return report["zeta"], report["poles"]
+
+        assert shown(JOB_71, "zeta") == shown(JOB_71, "poles") == shown(JOB_71, "all")
+        assert shown(JOB_ORIGIN_ONLY, "zeta0") == shown(JOB_ORIGIN_ONLY, "poles") == shown(JOB_ORIGIN_ONLY, "all")
 
 
 class TestMain:
