@@ -45,7 +45,7 @@ import numpy as np
 from . import fan as fan_mod
 from .errors import DEFAULT_ENUM_BUDGET, check_budget
 from .polycore import IntPolynomial, PolySystem, PrimeContext, eval_on_grid, face_function, grid_zeros
-from .polycore import primitive_root, product_chunks
+from .polycore import _content, primitive_root, product_chunks
 
 
 @dataclass
@@ -146,11 +146,6 @@ def _least_image(failures, a, p: int) -> tuple[tuple[int, ...], int]:
     c = math.gcd(*a)
     scales = [[pow(t, x // c, p) for x in a] for t in range(1, p)] if c else [[1] * len(a)]
     return min((tuple(s * x % p for s, x in zip(scale, z)), r) for scale in scales for z, r in failures)
-
-
-def _content(polys) -> tuple:
-    """A hashable key for the coefficients of ``polys``, in order."""
-    return tuple(tuple(sorted(f.terms.items())) for f in polys)
 
 
 def _scan(sys: PolySystem, a, p: int, budget: int, what: str) -> tuple[tuple[int, int], tuple[tuple[int, ...], int] | None]:

@@ -12,7 +12,10 @@ p^{m-1}, so level m tests only the p^n lifts x + p^{m-1} d of the level
 m-1 zeros (level 1 is the whole p^n grid) and keeps those that still
 vanish.  That is the reduction map Z/p^m -> Z/p^{m-1}, not Hensel lifting:
 no smoothness is assumed and every residue that can vanish is tested.  The
-enumeration budget counts the points each level actually tests.
+tree, with f_l mod p^m on each level, is walked once per system and prime
+and kept on the ``PolySystem``; every quantity of a job reads that walk.
+The enumeration budget counts the points each level actually tests, and is
+checked level by level on every call, whether the level is walked or kept.
 
 Nothing in this module consults the explicit-formula engine (no Newton
 polyhedron, no fan): these are the quantities the engine is tested
@@ -25,59 +28,62 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
 from .errors import DEFAULT_ENUM_BUDGET, check_budget
-from .polycore import GRID_CHUNK, PolySystem, PrimeContext, eval_on_grid, face_function, grid_zeros, primitive_root
+from .polycore import GRID_CHUNK, PolySystem, PrimeContext, _content, eval_on_grid, face_function, grid_zeros, primitive_root
 from .ratfun import FactoredRationalFunction
 
 
 def _lifts(base: list[np.ndarray], modulus: int, width: int):
     """Yield, at most GRID_CHUNK points at a time, the points x + modulus*d
-    for x in ``base`` and d in [0, width)^n.
+    for x in ``base`` and d in [0, width)^n (x-major, d_1 fastest): base
+    rows broadcast against blocks of at most GRID_CHUNK offsets modulus*d.
 
     Always yields at least one (possibly empty) chunk, so an empty base
     lifts to an empty level.
     """
-    n = len(base)
-    size = width**n
-    total = len(base[0]) * size
-    for start in range(0, total or 1, GRID_CHUNK):
-        point, digit = np.divmod(np.arange(start, min(start + GRID_CHUNK, total)), size)
-        digits = np.unravel_index(digit, (width,) * n, order="F")
-        yield [x[point] + modulus * d for x, d in zip(base, digits)]
+    size = width ** len(base)
+    block = min(size, GRID_CHUNK)
+    rows = GRID_CHUNK // block
+    offsets = None
+    for start in range(0, len(base[0]) or 1, rows):
+        for lo in range(0, size, block):
+            if offsets is None or block < size:
+                digits = np.unravel_index(np.arange(lo, min(lo + block, size)), (width,) * len(base), order="F")
+                offsets = [modulus * d for d in digits]
+            yield [(x[start : start + rows, None] + d).ravel() for x, d in zip(base, offsets)]
 
 
-def _head_levels(sys: PolySystem, p: int, budget: int, what: str):
-    """Yield H_0, H_1, ...: H_m holds, as coordinate arrays mod p^m, the
-    points where f_1, ..., f_{l-1} vanish mod p^m.
+def _head_levels(sys: PolySystem, p: int, top: int, budget: int, what: str) -> list:
+    """[(H_m, f_l mod p^m on H_m) for m = 0, ..., top], where H_m holds, as
+    coordinate arrays mod p^m, the zeros of f_1, ..., f_{l-1} mod p^m.
 
-    H_0 is the single point mod 1.  Before each level the budget is checked
-    on the |H_{m-1}| p^n lifts that level tests.
+    H_0 is the single point mod 1.  The walk is kept on ``sys`` per prime
+    and polynomials and deepened on demand.  Before each level m the budget
+    is checked, on every call, on the |H_{m-1}| p^n lifts it tests.
     """
-    level = [np.zeros(1, dtype=np.int64)] * sys.n
-    modulus = 1
-    while True:
-        yield level
-        check_budget(len(level[0]) * p**sys.n, budget, what)
-        chunks = [grid_zeros(sys.polys[:-1], c, modulus * p) for c in _lifts(level, modulus, p)]
-        modulus *= p
-        level = [np.concatenate(axis) for axis in zip(*chunks)]
+    origin = ([np.zeros(1, dtype=np.int64)] * sys.n, np.zeros(1, dtype=np.int64))  # f_l = 0 mod 1
+    levels = sys.scans.setdefault((p, "lift tree", _content(sys.polys)), [origin])
+    for m in range(1, top + 1):
+        head = levels[m - 1][0]
+        check_budget(len(head[0]) * p**sys.n, budget, what)
+        if m == len(levels):
+            chunks = [grid_zeros(sys.polys[:-1], c, p**m) for c in _lifts(head, p ** (m - 1), p)]
+            level = [np.concatenate(axis) for axis in zip(*chunks)]
+            levels.append((level, eval_on_grid(sys.polys[-1], level, p**m)))
+    return levels[: top + 1]
 
 
 def _last_at(sys: PolySystem, p: int, m: int, budget: int, what: str) -> np.ndarray:
     """f_l mod p^m at the points of H_m."""
-    level = next(islice(_head_levels(sys, p, budget, what), m, None))
-    return eval_on_grid(sys.polys[-1], level, p**m)
+    return _head_levels(sys, p, m, budget, what)[m][1]
 
 
-def _last_on_levels(sys: PolySystem, p: int, top: int, budget: int, what: str):
-    """f_l mod p^m at the points of H_m, for m = 0, ..., top: one tree walk."""
-    levels = _head_levels(sys, p, budget, what)
-    for m in range(top + 1):
-        yield eval_on_grid(sys.polys[-1], next(levels), p**m)
+def _last_on_levels(sys: PolySystem, p: int, top: int, budget: int, what: str) -> list[np.ndarray]:
+    """f_l mod p^m at the points of H_m, for m = 0, ..., top."""
+    return [fl for _, fl in _head_levels(sys, p, top, budget, what)]
 
 
 def _check_unit(u: int, p: int):
@@ -381,7 +387,7 @@ def deltaR_measures(
         raise ValueError(f"k_max={k_max} not determined mod p^{level}")
     if level < r + 2:
         raise ValueError("need level >= r + 2 for the stabilisation diagnostic")
-    heads = islice(_head_levels(sys, ctx.p, budget, "delta_r enumeration"), r, r + 2)
+    heads = (_head_levels(sys, ctx.p, d, budget, "delta_r enumeration")[d][0] for d in (r, r + 1))
     measures, measures_next = (
         _delta_measures_at(sys, ctx, r + i, head, level, region, k_max, budget)
         for i, head in enumerate(heads)

@@ -69,14 +69,20 @@ class IntPolynomial:
         return isinstance(other, IntPolynomial) and self.n == other.n and self.terms == other.terms
 
 
+def _content(polys) -> tuple:
+    """A hashable key for the coefficients of ``polys``, in order."""
+    return tuple(tuple(sorted(f.terms.items())) for f in polys)
+
+
 @dataclass
 class PolySystem:
     """Ordered system f_1, ..., f_l; the last polynomial plays the role of f_l."""
 
     n: int
     polys: list[IntPolynomial]
-    # Per-prime scan results of face systems, keyed by their content (see
-    # ``counting._scan``); it lives as long as the system.
+    # Per-prime results keyed by polynomial content, kept as long as the
+    # system: the face-system scans and good-reduction verdicts of
+    # ``counting`` and the lift tree of ``oracle._head_levels``.
     scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -292,26 +298,34 @@ GRID_CHUNK = 1 << 20
 def eval_on_grid(f: IntPolynomial, coords: list[np.ndarray], modulus: int) -> np.ndarray:
     """Values of f mod modulus at the points with coordinate arrays ``coords``.
 
-    Exact in int64: every product has factors below modulus, so
-    modulus^2 < 2^63 is required and checked.
+    Exact in int64: coordinates are cast to int64 and reduced, every product
+    has factors below modulus, so modulus^2 < 2^63 is required and checked,
+    and the terms, each below modulus < 2^32, are summed before one reduction.
     """
     if modulus * modulus >= 1 << 63:
         raise ModulusOverflowError(f"modulus {modulus} too large for exact int64 grid evaluation (needs modulus^2 < 2^63)")
+    coords = [np.asarray(x, dtype=np.int64) for x in coords]
+    # Grid coordinates are usually residues already; reduce only those that are not.
+    coords = [x if not x.size or 0 <= x.min() and x.max() < modulus else x % modulus for x in coords]
     total = np.zeros(coords[0].shape, dtype=np.int64)
     for m, c in f.terms.items():
-        term = np.full(coords[0].shape, c % modulus, dtype=np.int64)
+        c %= modulus
+        if not c:
+            continue
+        term = None
         for x, e in zip(coords, m):
-            if e:
-                p_acc = np.ones_like(x)
-                base = x % modulus
-                while e:
-                    if e & 1:
-                        p_acc = (p_acc * base) % modulus
-                    base = (base * base) % modulus
-                    e >>= 1
-                term = (term * p_acc) % modulus
-        total = (total + term) % modulus
-    return total
+            # Square-and-multiply, from the first power, with no square past the top bit.
+            while e:
+                if e & 1:
+                    term = x if term is None else term * x % modulus
+                e >>= 1
+                if e:
+                    x = x * x % modulus
+        if term is None:
+            total += c
+        else:
+            total += term if c == 1 else term * c % modulus
+    return total % modulus
 
 
 def product_chunks(axes):

@@ -259,6 +259,35 @@ class TestRun:
         assert len(face_systems) == 20
         assert len(scans) == len(face_systems) + 1
 
+    @pytest.mark.parametrize(
+        "variables,polys,prime,depth,points",
+        [
+            ("x, y, z", ["x + y - z", "x^8 + y^8 + z^8 + x^2*y^2*z^2"], 5, 3, 81_375),
+            ("x, y", ["x^2 + y^2", "x^4 + y^4 + x*y"], 47, 2, 4_418),
+            ("x, y", ["x^3 + y^3", "x^4 + y^4 + x*y"], 47, 2, 106_032),
+            ("x, y", ["x^4 + y^4", "x^4 + y^4 + x*y"], 47, 2, 4_418),
+        ],
+    )
+    def test_all_job_walks_each_tree_level_once(self, variables, polys, prime, depth, points, monkeypatch):
+        # The congruence table, the exponential sums and the prop3 residual
+        # of an `all` job read one walk of the oracle's lift tree, so the
+        # points tested are each level's lifts once: sum |H_(m-1)| p^n.
+        import igusa.oracle as oracle_mod
+        from igusa.polycore import PolySystem, parse_polynomial
+
+        names = variables.split(", ")
+        fresh = PolySystem(len(names), [parse_polynomial(f, names) for f in polys])
+        heads = [len(h[0]) for h, _ in oracle_mod._head_levels(fresh, prime, depth - 1, 10**9, "walk")]
+        assert points == sum(heads) * prime ** len(names)
+        tested = []
+        real = oracle_mod.grid_zeros
+        monkeypatch.setattr(oracle_mod, "grid_zeros", lambda fs, coords, m: tested.append(len(coords[0])) or real(fs, coords, m))
+        job = f"vars = {variables}\nprime = {prime}\ndepth = {depth}\nexpsum_levels = {depth}\n[polys]\n" + "\n".join(polys)
+        cfg = parse_config(job)
+        cfg.mode = "all"
+        _, code = run(cfg)
+        assert code == 0 and sum(tested) == points
+
     def test_report_determinism(self):
         cfg1 = parse_config(JOB_72)
         cfg2 = parse_config(JOB_72)

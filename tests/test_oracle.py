@@ -421,6 +421,7 @@ def test_head_without_zeros_gives_empty_levels():
     # PolySystem requires f(0) = 0, which the oracle never relies on.
     s = object.__new__(PolySystem)
     s.n, s.polys = 2, [IntPolynomial(2, {(2, 0): 1, (0, 0): -2}), parse_polynomial("x+y", V2)]
+    s.scans = {}
     ctx = PrimeContext(5)
     assert congruence_table(s, ctx, 3).counts == {0: 1, 1: 0, 2: 0, 3: 0}
     assert [e.value for e in expsum_table(s, ctx, 3)] == [1, 0, 0, 0]
@@ -431,12 +432,15 @@ def test_head_without_zeros_gives_empty_levels():
 
 def test_chunk_boundaries_change_nothing(monkeypatch):
     # Lifts are made GRID_CHUNK points at a time; a chunk may end inside the
-    # p^n lifts of one point.  Exact counts, and so E, must not move.
+    # p^n lifts of one point, and p^n = 27 > 7 splits each point's digits.
+    # Exact counts, and so E, must not move.  A fresh system per call keeps
+    # the kept lift tree from answering the second pass.
     import igusa.oracle as oracle_mod
 
-    s, ctx = sys71(), PrimeContext(3)
+    ctx = PrimeContext(3)
 
     def results():
+        s = sys71()
         return (
             congruence_table(s, ctx, 3).counts,
             [e.value for e in expsum_table(s, ctx, 3)],
@@ -484,3 +488,78 @@ class TestTreeBudget:
         cfg.budget = 10_000
         report, code = run(cfg)
         assert code == 0 and report["oracle"] == reference["oracle"]
+
+
+# ---------------------------------------------------------------------------
+# One walk of the lift tree per system and prime
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def tested(monkeypatch):
+    """A one-element list counting the points the lift tree tests."""
+    import igusa.oracle as oracle_mod
+
+    count = [0]
+    real = oracle_mod.grid_zeros
+
+    def shim(polys, coords, modulus):
+        count[0] += len(coords[0])
+        return real(polys, coords, modulus)
+
+    monkeypatch.setattr(oracle_mod, "grid_zeros", shim)
+    return count
+
+
+class TestOneWalk:
+    # Ex. 7.1 at p = 5: H_1 and H_2 are the 5^2 and 5^4 points of the plane
+    # x + y = z, so levels 1, 2, 3 test 5^3, 25 * 5^3 and 625 * 5^3 lifts.
+    WALK_71_P5 = 125 + 25 * 125 + 625 * 125
+
+    def test_every_reader_shares_one_walk(self, tested):
+        ctx, chi = PrimeContext(5), MultChar(5, 1)
+
+        def readers(system):
+            return (
+                congruence_table(system(), ctx, 3).counts,
+                count_Nm(system(), ctx, 2),
+                [e.value for e in expsum_table(system(), ctx, 3)],
+                exp_sum(system(), ctx, 3),
+                coeff_extract(system(), ctx, 2, chi),
+                prop3_residual(system(), ctx, 2),
+                deltaR_measures(system(), ctx, 1, 3),
+            )
+
+        expected = readers(sys71)  # a fresh system, so a walk of its own, per call
+        s = sys71()
+        tested[0] = 0
+        congruence_table(s, ctx, 3)
+        assert tested[0] == self.WALK_71_P5
+        assert readers(lambda: s) == expected
+        assert tested[0] == self.WALK_71_P5
+
+    def test_fresh_system_walks_again(self, tested):
+        ctx = PrimeContext(5)
+        congruence_table(sys71(), ctx, 3)
+        congruence_table(sys71(), ctx, 3)
+        assert tested[0] == 2 * self.WALK_71_P5
+
+    def test_deeper_call_walks_only_the_new_level(self, tested):
+        s, ctx = sys71(), PrimeContext(5)
+        congruence_table(s, ctx, 2)
+        assert tested[0] == 125 + 25 * 125
+        expsum_table(s, ctx, 3)
+        assert tested[0] == self.WALK_71_P5
+
+    def test_kept_levels_keep_the_budget(self):
+        # The tree is filled within budget; a later reader with a budget one
+        # below level 2's size is refused at that size and with its message.
+        p = 47
+        required = sum(1 for x in range(p) for y in range(p) if (x**2 + y**2) % p == 0) * p**2
+        s, ctx = sys72(2), PrimeContext(p)
+        congruence_table(s, ctx, 2, required)
+        with pytest.raises(BudgetExceededError) as err:
+            expsum_table(s, ctx, 2, 1, required - 1)
+        assert err.value.required == required
+        assert str(err.value).startswith("exponential-sum enumeration:")
+        expsum_table(s, ctx, 2, 1, required)

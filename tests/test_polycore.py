@@ -141,6 +141,37 @@ class TestGrid:
         with pytest.raises(ModulusOverflowError):
             eval_on_grid(f, [x], below + 1)
 
+    def test_narrow_integer_coordinates(self):
+        # The modulus passes the overflow guard, but int32 products of
+        # residues near 50021 overflow unless the coordinates are widened.
+        f = parse_polynomial("x^2+x*y", V2)
+        x, y = np.array([50000, 49999], dtype=np.int32), np.array([49000, 3], dtype=np.int32)
+        values = eval_on_grid(f, [x, y], 50021)
+        assert values.dtype == np.int64 and values.tolist() == [21882, 418]
+        assert values.tolist() == [evaluate_mod(f, pt, 50021) for pt in [(50000, 49000), (49999, 3)]]
+
+    @pytest.mark.parametrize("modulus", [2, 7, 125, 50021, 3037000499])
+    def test_matches_evaluate_mod(self, modulus):
+        # Exponents 0, 1, odd and even; coefficients 1, -1 and = 0 mod the
+        # modulus; a constant term.  x holds residues, y negative integers
+        # and z values on both sides of [0, modulus).
+        f = IntPolynomial(3, {
+            (0, 0, 0): 5, (1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): -3, (3, 0, 2): 1, (2, 5, 0): -1,
+            (0, 4, 7): modulus, (1, 1, 1): 2 * modulus - 1, (8, 0, 0): 7, (0, 6, 3): 2,
+        })
+        rng = np.random.default_rng(modulus)
+        coords = [
+            np.append(rng.integers(0, modulus, 60), [0, modulus - 1]),
+            np.append(rng.integers(-3 * modulus, 0, 60), [-1, -modulus]),
+            np.append(rng.integers(-2 * modulus, 3 * modulus, 60), [modulus, 3 * modulus - 1]),
+        ]
+        expected = [evaluate_mod(f, pt, modulus) for pt in zip(*(x.tolist() for x in coords))]
+        assert eval_on_grid(f, coords, modulus).tolist() == expected
+        zero = IntPolynomial(2, {(2, 1): modulus, (0, 3): -modulus})
+        assert eval_on_grid(zero, coords[:2], modulus).tolist() == [0] * len(coords[0])
+        empty = eval_on_grid(f, [np.array([], dtype=np.int64)] * 3, modulus)
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+
     def test_chunks_cover_grid_in_order(self, monkeypatch):
         monkeypatch.setattr(polycore, "GRID_CHUNK", 7)
         chunks = list(product_chunks([[1, 2, 4]] * 3))
