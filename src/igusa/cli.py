@@ -21,12 +21,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import counting, newton, oracle, zeta as zeta_mod
+from . import counting, fan as fan_mod, newton, oracle, zeta as zeta_mod
 from .errors import DEFAULT_ENUM_BUDGET, HypothesisError, IgusaError
 from .polycore import PolySystem, PrimeContext, is_convenient, parse_polynomial
 from .ratfun import FactoredRationalFunction
 
 MODES = ("zeta", "zeta0", "poles", "poincare", "expsum", "congruence", "check", "all")
+KEYS = ("vars", "prime", "mode", "depth", "expsum_levels", "budget", "output")
 
 
 @dataclass
@@ -74,7 +75,12 @@ def parse_config(text: str) -> JobConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value or [polys] block")
         key, _, value = line.partition("=")
-        keys[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}; the keys are {', '.join(KEYS)}")
+        if key in keys:
+            raise ConfigError(f"line {lineno}: key {key!r} given twice")
+        keys[key] = value.strip()
 
     if "vars" not in keys:
         raise ConfigError("missing 'vars' key")
@@ -178,8 +184,7 @@ def run(config: JobConfig) -> tuple[dict, int]:
 
     conv = is_convenient(sys_)
     cert_global = counting.check_nondegenerate(sys_, ctx, at_origin=False, budget=budget)
-    subdivision = cert_global.subdivision  # the job's one dual subdivision
-    cert_origin = counting.check_nondegenerate(sys_, ctx, at_origin=True, budget=budget, subdivision=subdivision)
+    cert_origin = counting.check_nondegenerate(sys_, ctx, at_origin=True, budget=budget)
     good_red = counting.check_good_reduction(sys_, ctx, budget) if sys_.l >= 2 else None
     report["certificates"] = {
         "convenient": {"ok": conv.convenient, "missing": conv.missing},
@@ -188,7 +193,7 @@ def run(config: JobConfig) -> tuple[dict, int]:
         "good_reduction": good_red,
     }
 
-    tri = subdivision.triangulation
+    tri = fan_mod.dual_subdivision(sys_).triangulation
     by_dim: dict[str, int] = {}
     for cone in tri.cones:
         by_dim[str(cone.dim)] = by_dim.get(str(cone.dim), 0) + 1
@@ -209,13 +214,13 @@ def run(config: JobConfig) -> tuple[dict, int]:
     zr = None
     if mode != "zeta0":
         try:
-            zr = zeta_mod.zeta_full(sys_, ctx, budget, subdivision)
+            zr = zeta_mod.zeta_full(sys_, ctx, budget)
         except HypothesisError as exc:
             report["checks"].append({"name": "zeta_full_hypotheses", "passed": False, "detail": exc.detail()})
     shown = zr
     if mode == "zeta0" or (mode in ("poles", "all") and zr is None):
         try:
-            shown = zeta_mod.zeta_origin(sys_, ctx, budget, subdivision)
+            shown = zeta_mod.zeta_origin(sys_, ctx, budget)
         except HypothesisError as exc:
             report["checks"].append({"name": "zeta_origin_hypotheses", "passed": False, "detail": exc.detail()})
 
@@ -227,7 +232,7 @@ def run(config: JobConfig) -> tuple[dict, int]:
         if not contained:
             exit_code = max(exit_code, 3)
     elif mode == "poles":
-        report["poles"] = {"candidates": _candidates_json(zeta_mod.candidate_poles(sys_, tri)), "actual": None}
+        report["poles"] = {"candidates": _candidates_json(zeta_mod.candidate_poles(sys_)), "actual": None}
 
     if mode == "poincare" and (zr is None or not good_red):
         detail = "good reduction fails" if not good_red else "engine hypotheses fail"
@@ -273,7 +278,7 @@ def run(config: JobConfig) -> tuple[dict, int]:
             slope = (k * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys)) / (
                 k * sum(x * x for x in xs) - sum(xs) ** 2
             )
-        gamma = zeta_mod.candidate_poles(sys_, tri).gamma_f
+        gamma = zeta_mod.candidate_poles(sys_).gamma_f
         oracle_section["expsum"] = {
             "rows": rows,
             "fitted_decay_exponent": slope,

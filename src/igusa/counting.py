@@ -38,7 +38,7 @@ read, so a call refused on a fresh system is refused on a scanned one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,8 +68,6 @@ class NondegCertificate:
     p: int
     witness: NondegWitness | None = None
     directions_checked: int = 0
-    # The cones the certificate covers: the system's dual subdivision.
-    subdivision: fan_mod.Fan | None = field(default=None, repr=False, compare=False)
 
 
 def _torus_slice(a, n: int, p: int) -> tuple[list[np.ndarray], int]:
@@ -182,7 +180,6 @@ def check_nondegenerate(
     ctx: PrimeContext,
     at_origin: bool = False,
     budget: int = DEFAULT_ENUM_BUDGET,
-    subdivision: fan_mod.Fan | None = None,
 ) -> NondegCertificate:
     """Certify strong non-degeneracy over F_p (globally or at the origin).
 
@@ -192,18 +189,14 @@ def check_nondegenerate(
     each representative direction, every common torus zero of all l face
     polynomials must have Jacobian rank min(l, n).  One orbit slice is
     scanned per face system (``_scan``), and the first failure on the whole
-    torus is returned as an independently checkable witness.  The
-    subdivision is built here unless the caller passes the one it already
-    has.
+    torus is returned as an independently checkable witness.
     """
     p = ctx.p
     scope = "at_origin" if at_origin else "global"
     # Every direction's scan tests at least (p-1)^(n-1) points; refuse
     # before building the subdivision if even that is too many.
     check_budget((p - 1) ** (sys.n - 1), budget, "non-degeneracy enumeration")
-    if subdivision is None:
-        subdivision = fan_mod.dual_subdivision(sys)
-    directions = [cone.interior_point() for cone in subdivision.cones]
+    directions = [cone.interior_point() for cone in fan_mod.dual_subdivision(sys).cones]
     if at_origin:
         directions = [a for a in directions if all(x > 0 for x in a)]
     else:
@@ -212,8 +205,8 @@ def check_nondegenerate(
         first = _scan(sys, a, p, budget, "non-degeneracy enumeration")[1]
         if first is not None:
             z, r = first
-            return NondegCertificate(False, scope, p, NondegWitness(tuple(a), z, r), len(directions), subdivision)
-    return NondegCertificate(True, scope, p, None, len(directions), subdivision)
+            return NondegCertificate(False, scope, p, NondegWitness(tuple(a), z, r), len(directions))
+    return NondegCertificate(True, scope, p, None, len(directions))
 
 
 def verify_witness(sys: PolySystem, ctx: PrimeContext, witness: NondegWitness) -> bool:

@@ -30,7 +30,7 @@ from itertools import combinations
 from math import gcd
 
 from . import linalg, newton
-from .polycore import PolySystem, face_function, is_convenient
+from .polycore import PolySystem, _content, face_function, is_convenient
 
 Ray = tuple[int, ...]
 
@@ -145,7 +145,13 @@ def dual_subdivision(sys: PolySystem) -> Fan:
 
     The classes are the relatively open cones Delta_tau; each is spanned by
     the facet normals of the system polyhedron whose facet contains tau.
+    The fan depends only on the polynomials, so it is built once and kept
+    on ``sys`` under their content, together with its triangulation once
+    that is asked for; every later call returns the same ``Fan``.
     """
+    kept = ("dual subdivision", _content(sys.polys))
+    if kept in sys.scans:
+        return sys.scans[kept]
     report = is_convenient(sys)
     if not report.convenient:
         warnings.warn(
@@ -186,7 +192,8 @@ def dual_subdivision(sys: PolySystem) -> Fan:
             raise RuntimeError(f"incidence mismatch for class spanned by {span}")
         cones.append(cone)
     cones.sort(key=Cone.sorted_key)
-    return Fan(sys.n, cones, skeleton=list(rays))
+    sys.scans[kept] = Fan(sys.n, cones, skeleton=list(rays))
+    return sys.scans[kept]
 
 
 # ---------------------------------------------------------------------------

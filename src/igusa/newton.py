@@ -38,9 +38,6 @@ class NewtonPolyhedron:
     vertices: list[Exponent]     # minimal generating subset
     facets: list[Facet]
 
-    def support_value(self, a) -> int:
-        return support_value(self, a)
-
 
 def _check_dimension(n: int):
     if n > MAX_DIMENSION:

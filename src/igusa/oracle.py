@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -200,19 +201,14 @@ class MultChar:
         return cmath.exp(2j * cmath.pi * self.j * k / (self.p - 1))
 
 
-_dlog_cache: dict[int, dict[int, int]] = {}
-
-
+@cache
 def _dlog_table(p: int) -> dict[int, int]:
-    table = _dlog_cache.get(p)
-    if table is None:
-        g = primitive_root(p)
-        table = {}
-        acc = 1
-        for k in range(p - 1):
-            table[acc] = k
-            acc = (acc * g) % p
-        _dlog_cache[p] = table
+    g = primitive_root(p)
+    table = {}
+    acc = 1
+    for k in range(p - 1):
+        table[acc] = k
+        acc = (acc * g) % p
     return table
 
 
@@ -413,7 +409,11 @@ def _delta_measures_at(sys, ctx, r, head, level, region, k_max, budget) -> dict[
     counts = dict.fromkeys(range(k_max + 1), 0)
     for coords in _lifts(head, modulus, width):
         fl = eval_on_grid(sys.polys[-1], coords, p**level)
+        # Before step k, fl holds f_l / p^k where p^k divides f_l: those
+        # not divisible by p once more have ord f_l = k.
         for k in counts:
-            counts[k] += sum(_ac_from(fl, p, k).values())
+            divisible = fl[fl % p == 0]
+            counts[k] += len(fl) - len(divisible)
+            fl = divisible // p
     scale = Fraction(p ** (r * (sys.l - 1)), p ** (level * sys.n))
     return {k: scale * c for k, c in counts.items()}

@@ -80,9 +80,10 @@ class PolySystem:
 
     n: int
     polys: list[IntPolynomial]
-    # Per-prime results keyed by polynomial content, kept as long as the
-    # system: the face-system scans and good-reduction verdicts of
-    # ``counting`` and the lift tree of ``oracle._head_levels``.
+    # Results keyed by polynomial content, kept as long as the system: the
+    # dual subdivision of ``fan`` (with its triangulation), and per prime
+    # the face-system scans and good-reduction verdicts of ``counting`` and
+    # the lift tree of ``oracle._head_levels``.
     scans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -35,7 +35,7 @@ class FactoredRationalFunction:
 
     __slots__ = ("q", "num", "den")
 
-    def __init__(self, q: int, num: dict[int, Fraction] | None = None, den=None):
+    def __init__(self, q: int, num: dict[int, Fraction] | None = None, den: dict[Factor, int] | None = None):
         self.q = q
         self.num: dict[int, Fraction] = {}
         if num:
@@ -45,7 +45,7 @@ class FactoredRationalFunction:
                     self.num[int(k)] = c
         self.den: Counter[Factor] = Counter()
         if den:
-            for factor, mult in (den.items() if isinstance(den, dict) else Counter(den).items()):
+            for factor, mult in den.items():
                 a, b = int(factor[0]), int(factor[1])
                 if mult < 0:
                     raise ValueError("negative factor multiplicity")

@@ -40,7 +40,7 @@ from .counting import (
     torus_count,
 )
 from .errors import DEFAULT_ENUM_BUDGET, HypothesisError
-from .fan import Cone, Fan, barycenter, parallelepiped_points_with_coords
+from .fan import Cone, barycenter, parallelepiped_points_with_coords
 from .polycore import PolySystem, PrimeContext, is_convenient
 from .ratfun import FactoredRationalFunction, PoleLine, qpow
 
@@ -124,7 +124,7 @@ def compute_L(sys: PolySystem, ctx: PrimeContext, direction, budget: int = DEFAU
     return FactoredRationalFunction(q, num, {(-1, 1): 1})
 
 
-def candidate_poles(sys: PolySystem, fan: Fan | None = None) -> CandidatePoles:
+def candidate_poles(sys: PolySystem) -> CandidatePoles:
     """Theorem-level candidate pole lines from the fan skeleton.
 
     For each strictly positive skeleton ray a with d(a, Gamma_l) != 0 the
@@ -132,12 +132,10 @@ def candidate_poles(sys: PolySystem, fan: Fan | None = None) -> CandidatePoles:
     d(a, Gamma_l); plus the line at -1 with period 1.  gamma_f maximises
     over rays with sigma(a) - sum_{j<l} d(a, Gamma_j) > 0.
     """
-    if fan is None:
-        fan = fan_mod.dual_subdivision(sys)
     lines: dict[Fraction, CandidateLine] = {}
     lines[Fraction(-1)] = CandidateLine(Fraction(-1), 1, [])
     gamma: Fraction | None = None
-    for ray in fan.skeleton:
+    for ray in fan_mod.dual_subdivision(sys).skeleton:
         if not all(x > 0 for x in ray):
             continue
         a, d_l = _exponent_pair(ray, sys)
@@ -156,7 +154,7 @@ def candidate_poles(sys: PolySystem, fan: Fan | None = None) -> CandidatePoles:
     return CandidatePoles(ordered, gamma, sys.n - sys.l + 1)
 
 
-def _require_engine_hypotheses(sys: PolySystem, ctx: PrimeContext, at_origin: bool, budget: int, subdivision: Fan | None) -> NondegCertificate:
+def _require_engine_hypotheses(sys: PolySystem, ctx: PrimeContext, at_origin: bool, budget: int) -> NondegCertificate:
     if sys.l < 2:
         raise HypothesisError("the zeta engine needs 2 <= l <= n")
     report = is_convenient(sys)
@@ -165,7 +163,7 @@ def _require_engine_hypotheses(sys: PolySystem, ctx: PrimeContext, at_origin: bo
             "system is not convenient; refusing to pick a compactification",
             witness={"missing_pure_powers": report.missing},
         )
-    cert = check_nondegenerate(sys, ctx, at_origin=at_origin, budget=budget, subdivision=subdivision)
+    cert = check_nondegenerate(sys, ctx, at_origin=at_origin, budget=budget)
     if not cert.ok:
         w = cert.witness
         raise HypothesisError(
@@ -175,12 +173,12 @@ def _require_engine_hypotheses(sys: PolySystem, ctx: PrimeContext, at_origin: bo
     return cert
 
 
-def _assemble(sys: PolySystem, ctx: PrimeContext, mode: str, budget: int, subdivision: Fan | None) -> ZetaReport:
+def _assemble(sys: PolySystem, ctx: PrimeContext, mode: str, budget: int) -> ZetaReport:
     at_origin = mode == "origin"
-    cert = _require_engine_hypotheses(sys, ctx, at_origin, budget, subdivision)
+    cert = _require_engine_hypotheses(sys, ctx, at_origin, budget)
     good_red = check_good_reduction(sys, ctx, budget)
 
-    tri = cert.subdivision.triangulation
+    tri = fan_mod.dual_subdivision(sys).triangulation
 
     contributions: list[ConeContribution] = []
     total = FactoredRationalFunction.zero(ctx.q)
@@ -199,7 +197,7 @@ def _assemble(sys: PolySystem, ctx: PrimeContext, mode: str, budget: int, subdiv
         L0 = compute_L(sys, ctx, (0,) * sys.n, budget)
         total = total + L0
 
-    cands = candidate_poles(sys, tri)
+    cands = candidate_poles(sys)
     actual = total.poles()
     beta = max((line.re for line in actual), default=None)
     return ZetaReport(
@@ -221,17 +219,14 @@ def _assemble(sys: PolySystem, ctx: PrimeContext, mode: str, budget: int, subdiv
     )
 
 
-def zeta_full(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET, subdivision: Fan | None = None) -> ZetaReport:
-    """Zeta function with test function = characteristic function of R_K^n.
-
-    ``subdivision``, the system's dual subdivision, is built here unless given.
-    """
-    return _assemble(sys, ctx, "full", budget, subdivision)
+def zeta_full(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET) -> ZetaReport:
+    """Zeta function with test function = characteristic function of R_K^n."""
+    return _assemble(sys, ctx, "full", budget)
 
 
-def zeta_origin(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET, subdivision: Fan | None = None) -> ZetaReport:
+def zeta_origin(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET) -> ZetaReport:
     """Zeta function with test function = characteristic function of (P_K)^n."""
-    return _assemble(sys, ctx, "origin", budget, subdivision)
+    return _assemble(sys, ctx, "origin", budget)
 
 
 def poincare_series(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET, report: ZetaReport | None = None) -> FactoredRationalFunction:

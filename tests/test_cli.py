@@ -128,6 +128,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("vars = x\nprime = 5\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("deph = 7", "line 4: unknown key 'deph'"), ("budgte = 10", "line 4: unknown key 'budgte'"),
+         ("depth = 7", "line 4: key 'depth' given twice")],
+    )
+    def test_unknown_or_repeated_key_exit_1(self, tmp_path, capsys, line, message):
+        # A misspelt key must not leave its setting at the default.
+        text = JOB_71.replace("depth = 2", "depth = 2\n" + line)
+        assert main(["zeta", "--input", _write(tmp_path, text)]) == 1
+        detail = json.loads(capsys.readouterr().err)
+        assert detail["error"] == "ConfigError" and message in detail["message"]
+
     def test_comments_ignored(self):
         cfg = parse_config("# hello\nvars = x, y\nprime = 7 # the prime\n[polys]\nx + y\nx^2+y^2\n")
         assert cfg.prime == 7

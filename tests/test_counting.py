@@ -164,19 +164,6 @@ class TestNondegeneracy:
         assert all(g.evaluate_mod(w.point, 3) == 0 for g in faces)
         assert jacobian_rank(faces, w.point, ctx) == w.rank < 1
 
-    @pytest.mark.parametrize("at_origin", [False, True])
-    @pytest.mark.parametrize("p", [3, 5, 7])
-    @pytest.mark.parametrize("make", [sys71, degenerate_curve])
-    def test_supplied_subdivision_agrees(self, make, p, at_origin):
-        s, ctx = make(), PrimeContext(p)
-        built = check_nondegenerate(s, ctx, at_origin=at_origin)
-        sub = dual_subdivision(s)
-        given = check_nondegenerate(s, ctx, at_origin=at_origin, subdivision=sub)
-        assert given.subdivision is sub and built.subdivision == sub
-        assert (given.ok, given.scope, given.witness, given.directions_checked) == (
-            built.ok, built.scope, built.witness, built.directions_checked
-        )
-
 
 class TestGoodReduction:
     def test_linear_head(self):
@@ -451,14 +438,15 @@ class TestSlicedWitness:
         assert (w.direction, w.point, w.rank) == reference_witness(s, ctx, at_origin) == ((2, 3), (1, 1), 0)
         assert verify_witness(s, ctx, w)
 
-    def test_non_primitive_direction(self):
+    def test_non_primitive_direction(self, monkeypatch):
         # Direction (4, 2) has the face system of (2, 1), and F_p^x acts
         # through a' = (2, 1): at p = 5 the slice's only failure (4, 1) maps
         # to the torus's first failure (1, 2), which t -> (t^4, t^2) misses.
         s = PolySystem(2, [parse_polynomial("y^4 - 8*x*y^2 + 16*x^2", V2)])
         ctx = PrimeContext(5)
         sub = SimpleNamespace(cones=[SimpleNamespace(interior_point=lambda: (4, 2))])
-        w = check_nondegenerate(s, ctx, subdivision=sub).witness
+        monkeypatch.setattr(counting.fan_mod, "dual_subdivision", lambda t: sub)
+        w = check_nondegenerate(s, ctx).witness
         assert (w.direction, w.point, w.rank) == ((4, 2), (1, 2), 0)
         assert verify_witness(s, ctx, w)
 
@@ -509,18 +497,17 @@ class TestSlicedBudget:
     def test_at_origin_certificate(self):
         # The largest at-origin scan is g = 2, e.g. on the cone through (3, 3, 2).
         s, ctx = sys71(), PrimeContext(7)
-        sub = dual_subdivision(s)
-        unlimited = check_nondegenerate(s, ctx, at_origin=True, subdivision=sub)
+        unlimited = check_nondegenerate(s, ctx, at_origin=True)
         for budget in (72, 215):
-            assert check_nondegenerate(s, ctx, at_origin=True, budget=budget, subdivision=sub) == unlimited
+            assert check_nondegenerate(s, ctx, at_origin=True, budget=budget) == unlimited
         with pytest.raises(BudgetExceededError) as err:
-            check_nondegenerate(s, ctx, at_origin=True, budget=71, subdivision=sub)
+            check_nondegenerate(s, ctx, at_origin=True, budget=71)
         assert err.value.required == 72
 
     def test_global_certificate_scans_zero_direction_whole(self):
         s, ctx = sys71(), PrimeContext(7)
         with pytest.raises(BudgetExceededError) as err:
-            check_nondegenerate(s, ctx, budget=215, subdivision=dual_subdivision(s))
+            check_nondegenerate(s, ctx, budget=215)
         assert err.value.required == 216
         assert check_nondegenerate(s, ctx, budget=216).ok
 
@@ -562,17 +549,18 @@ class TestScanMemo:
     same call on a fresh copy."""
 
     @pytest.mark.parametrize("system,p", _memo_cases())
-    def test_filled_equals_fresh(self, system, p):
+    def test_filled_equals_fresh(self, system, p, monkeypatch):
         ctx = PrimeContext(p)
         s = PolySystem(system.n, system.polys)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a random system need not be convenient
             sub = dual_subdivision(s)
-        certs = {scope: check_nondegenerate(s, ctx, at_origin=scope, subdivision=sub) for scope in (False, True)}
+        monkeypatch.setattr(counting.fan_mod, "dual_subdivision", lambda t: sub)
+        certs = {scope: check_nondegenerate(s, ctx, at_origin=scope) for scope in (False, True)}
         assert s.scans
         for scope, cert in certs.items():
-            again = check_nondegenerate(s, ctx, at_origin=scope, subdivision=sub)
-            fresh = check_nondegenerate(PolySystem(s.n, s.polys), ctx, at_origin=scope, subdivision=sub)
+            again = check_nondegenerate(s, ctx, at_origin=scope)
+            fresh = check_nondegenerate(PolySystem(s.n, s.polys), ctx, at_origin=scope)
             assert again == cert == fresh
             if not cert.ok:
                 assert verify_witness(s, ctx, cert.witness)
@@ -586,7 +574,7 @@ class TestScanMemo:
             assert check_good_reduction(s, ctx) == verdict == check_good_reduction(PolySystem(s.n, s.polys), ctx)
 
     @pytest.mark.parametrize("system,p", _memo_cases())
-    def test_filled_scans_keep_the_budget(self, system, p):
+    def test_filled_scans_keep_the_budget(self, system, p, monkeypatch):
         ctx = PrimeContext(p)
         s = PolySystem(system.n, system.polys)
         with warnings.catch_warnings():
@@ -599,9 +587,10 @@ class TestScanMemo:
         for a in directions:
             size = math.prod(len(x) for x in _torus_slice(a, s.n, p)[0])
             one = SimpleNamespace(cones=[SimpleNamespace(interior_point=lambda a=a: a)])
+            monkeypatch.setattr(counting.fan_mod, "dual_subdivision", lambda t, one=one: one)
             for call in (
                 lambda t: torus_count(t, a, ctx, budget=size - 1),
-                lambda t: check_nondegenerate(t, ctx, budget=size - 1, subdivision=one),
+                lambda t: check_nondegenerate(t, ctx, budget=size - 1),
             ):
                 required, message = _refusal(lambda: call(s))
                 assert (required, message) == _refusal(lambda: call(PolySystem(s.n, s.polys)))

@@ -72,6 +72,22 @@ class TestDualSubdivision:
         with pytest.warns(UserWarning):
             dual_subdivision(sys_)
 
+    def test_kept_per_system(self):
+        s = sys71()
+        sub = dual_subdivision(s)
+        assert dual_subdivision(s) is sub
+        assert dual_subdivision(s).triangulation is sub.triangulation
+        fresh = dual_subdivision(PolySystem(s.n, s.polys))
+        assert fresh is not sub and fresh == sub
+        # The first build warns, at the caller's line; the kept fan does not.
+        sys_ = PolySystem(2, [parse_polynomial("x*y + x^2", V2)])
+        with pytest.warns(UserWarning) as record:
+            kept = dual_subdivision(sys_)
+        assert len(record) == 1 and record[0].filename == __file__
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dual_subdivision(sys_) is kept
+
     def test_face_constant_on_cones(self):
         # The defining equivalence: every polynomial's face is constant on
         # each cone, sampled at several interior points.
@@ -176,11 +192,8 @@ def test_facet_normals_once_per_cone(monkeypatch):
 
     import igusa.newton as newton_mod
     from igusa.cli import parse_config, run
-    from igusa.counting import check_nondegenerate
-    from igusa.polycore import PrimeContext
 
-    subdivision = check_nondegenerate(sys71(), PrimeContext(23)).subdivision
-    expected = {c.generators for c in subdivision.cones if not c.simplicial}
+    expected = {c.generators for c in dual_subdivision(sys71()).cones if not c.simplicial}
     calls = collections.Counter()
     real = newton_mod.cone_facet_normals
 

@@ -128,12 +128,29 @@ class TestZeta:
         for c in rep.contributions:
             assert all(x > 0 for x in c.cone.interior_point())
 
-    @pytest.mark.parametrize("engine", [zeta_full, zeta_origin])
-    def test_supplied_subdivision_agrees(self, engine):
+    def test_library_calls_share_one_fan(self, monkeypatch):
+        # The engines, the candidate poles and the certificate read the dual
+        # subdivision and triangulation kept on the system: one polyhedron
+        # build and one triangulation for the whole sequence.
+        import igusa.fan as fan_mod
+        import igusa.newton as newton_mod
+        from igusa.counting import check_nondegenerate
+
+        calls = dict.fromkeys(("system_polyhedron", "triangulate"), 0)
+        for module, name in ((newton_mod, "system_polyhedron"), (fan_mod, "triangulate")):
+
+            def shim(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, shim)
         s, ctx = sys71(), PrimeContext(5)
-        built = engine(s, ctx)
-        given = engine(s, ctx, subdivision=dual_subdivision(s))
-        assert given == built  # value, L0, contributions, candidate and actual poles
+        full, origin = zeta_full(s, ctx), zeta_origin(s, ctx)
+        cands = candidate_poles(s)
+        assert check_nondegenerate(s, ctx, at_origin=True).ok
+        assert calls == {"system_polyhedron": 1, "triangulate": 1}
+        # value, L0, contributions, candidate and actual poles
+        assert (full, origin, cands) == (zeta_full(sys71(), ctx), zeta_origin(sys71(), ctx), candidate_poles(sys71()))
 
     def test_product_invariant(self):
         rep = zeta_origin(sys71(), PrimeContext(5))
