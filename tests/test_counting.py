@@ -164,6 +164,25 @@ class TestNondegeneracy:
         assert all(g.evaluate_mod(w.point, 3) == 0 for g in faces)
         assert jacobian_rank(faces, w.point, ctx) == w.rank < 1
 
+    @pytest.mark.parametrize("at_origin", [False, True])
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("make", [sys71, degenerate_curve])
+    def test_supplied_subdivision_agrees(self, make, p, at_origin, monkeypatch):
+        # A subdivision built on another system with the same polynomials,
+        # handed to the certificate in place of the kept one, gives the
+        # certificate the certificate builds for itself.
+        ctx = PrimeContext(p)
+        built_on = make()
+        built = check_nondegenerate(built_on, ctx, at_origin=at_origin)
+        sub = dual_subdivision(make())
+        asked = []
+        monkeypatch.setattr(counting.fan_mod, "dual_subdivision", lambda t: asked.append(t) or sub)
+        s = make()
+        given = check_nondegenerate(s, ctx, at_origin=at_origin)
+        assert asked and all(t is s for t in asked)
+        assert dual_subdivision(built_on) == sub
+        assert given == built  # ok, scope, witness, directions checked
+
 
 class TestGoodReduction:
     def test_linear_head(self):

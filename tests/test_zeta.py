@@ -152,6 +152,23 @@ class TestZeta:
         # value, L0, contributions, candidate and actual poles
         assert (full, origin, cands) == (zeta_full(sys71(), ctx), zeta_origin(sys71(), ctx), candidate_poles(sys71()))
 
+    @pytest.mark.parametrize("engine", [zeta_full, zeta_origin])
+    def test_supplied_subdivision_agrees(self, engine, monkeypatch):
+        # A subdivision built on another system with the same polynomials,
+        # handed to the engine in place of the kept one, gives the report the
+        # engine builds for itself.
+        import igusa.fan as fan_mod
+
+        ctx = PrimeContext(5)
+        built = engine(sys71(), ctx)
+        sub = dual_subdivision(sys71())
+        asked = []
+        monkeypatch.setattr(fan_mod, "dual_subdivision", lambda t: asked.append(t) or sub)
+        s = sys71()
+        given = engine(s, ctx)
+        assert asked and all(t is s for t in asked)
+        assert given == built  # value, L0, contributions, candidate and actual poles
+
     def test_product_invariant(self):
         rep = zeta_origin(sys71(), PrimeContext(5))
         for c in rep.contributions:
