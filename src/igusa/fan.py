@@ -26,8 +26,8 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, lcm
 
 from . import linalg, newton
 from .polycore import PolySystem, _content, face_function, is_convenient
@@ -266,58 +266,25 @@ def barycenter(cone: Cone) -> Ray:
     return cone.interior_point()
 
 
-def _pp_group(cone: Cone) -> tuple[int, set[tuple[int, ...]]]:
-    """The group B^-1 Z^e / Z^e as ``(D, group)``: its members are nu / D.
-
-    B is a full-rank square row-submatrix of the generator matrix A and
-    D = |det B|, so the group is generated modulo D by the columns of
-    D B^-1.  It contains L/Z^e, where L = {mu : A mu integral}; the members
-    with A nu = 0 mod D are exactly L/Z^e.
-    """
-    gens = cone.generators
-    e = len(gens)
-    n = cone.n
-    # Full-rank e x e row submatrix.
-    rows_idx: list[int] = []
-    for i in range(n):
-        trial = rows_idx + [i]
-        if linalg.rank([[gens[k][r] for k in range(e)] for r in trial]) == len(trial):
-            rows_idx = trial
-        if len(rows_idx) == e:
-            break
-    sub = [[gens[k][r] for k in range(e)] for r in rows_idx]
-    D = abs(linalg.det(sub).numerator)
-    inv = linalg.invert(sub)
-    steps = [tuple(int(row[j] * D) % D for row in inv) for j in range(e)]
-
-    group = {(0,) * e}
-    frontier = list(group)
-    while frontier:
-        nxt = []
-        for nu in frontier:
-            for s in steps:
-                cand = tuple((a + b) % D for a, b in zip(nu, s))
-                if cand not in group:
-                    group.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return D, group
-
-
 def parallelepiped_points(cone: Cone) -> list[Ray]:
     """Integer points of {sum mu_i a_i : 0 <= mu_i < 1}."""
     return sorted(h for h, _ in parallelepiped_points_with_coords(cone))
 
 
 def parallelepiped_points_with_coords(cone: Cone) -> list[tuple[Ray, tuple[Fraction, ...]]]:
-    """Same, returning the coefficient vector mu of each point."""
+    """Same, returning the coefficient vector mu of each point.
+
+    With U A V = diag(d) from ``linalg.smith``, A mu is integral iff
+    V^-1 mu lies in prod (1/d_i) Z: the points are mu = V (k/d) mod 1 over
+    the box k in prod range(d_i), with nu = D mu for D = lcm(d).
+    """
     if not cone.simplicial:
         raise ValueError("parallelepiped points are defined for simplicial cones")
-    D, group = _pp_group(cone)
+    d, V = linalg.smith(list(zip(*cone.generators)))
+    D = lcm(*d)
     out = []
-    for nu in group:
-        point = [sum(v * g[i] for v, g in zip(nu, cone.generators)) for i in range(cone.n)]
-        if all(x % D == 0 for x in point):
-            out.append((tuple(x // D for x in point), tuple(Fraction(v, D) for v in nu)))
+    for k in product(*map(range, d)):
+        nu = [sum(x * c * (D // di) for x, c, di in zip(row, k, d)) % D for row in V]
+        point = tuple(sum(v * g[i] for v, g in zip(nu, cone.generators)) // D for i in range(cone.n))
+        out.append((point, tuple(Fraction(v, D) for v in nu)))
     return sorted(out)
-

@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals, sized for desk-scale problems.
 
-Every result comes from one fraction-free Gauss-Jordan elimination over the
-integers (Bareiss 1968): each rational input row is scaled to integers by the
-lcm of its denominators, and every division in the elimination is exact, so no
-``Fraction`` arithmetic runs inside it.  Dimensions stay in the single digits
-throughout the package, so no effort is spent on pivoting strategies or
-sparsity.
+Every result but ``smith``'s diagonal form comes from one fraction-free
+Gauss-Jordan elimination over the integers (Bareiss 1968): each rational
+input row is scaled to integers by the lcm of its denominators, and every
+division in the elimination is exact, so no ``Fraction`` arithmetic runs
+inside it.  Dimensions stay in the single digits throughout the package, so
+no effort is spent on pivoting strategies or sparsity.
 """
 
 from __future__ import annotations
@@ -161,6 +161,37 @@ def det(rows) -> Fraction:
     if len(pivots) < n:
         return Fraction(0)
     return Fraction(sign * d, scale)
+
+
+def smith(rows) -> tuple[list[int], list[list[int]]]:
+    """Diagonal form of an integer n x e matrix A of rank e (Cohen 1993, §2.4.4).
+
+    Returns positive ``d`` and a unimodular e x e ``V`` with U A V = diag(d)
+    for some unimodular U, which is not tracked.  Unlike the Smith normal
+    form, the d_i need not divide one another; their product is still the
+    gcd of the e x e minors of A.
+    """
+    a, e = [list(row) for row in rows], len(rows[0])
+    v = [[int(i == j) for j in range(e)] for i in range(e)]
+    for k in range(e):
+        while True:  # Pivot on the least nonzero entry left; clear its row and column.
+            pivot = min(((abs(x), i, j) for i in range(k, len(a)) for j, x in enumerate(a[i][k:], k) if x), default=None)
+            if pivot is None:
+                raise ValueError("matrix does not have full column rank")
+            _, i, j = pivot
+            a[k], a[i] = a[i], a[k]
+            for row in a + v:
+                row[k], row[j] = row[j], row[k]
+            for i in range(k + 1, len(a)):
+                f = a[i][k] // a[k][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+            for j in range(k + 1, e):
+                f = a[k][j] // a[k][k]
+                for row in a + v:
+                    row[j] -= f * row[k]
+            if not any(a[k][k + 1:]) and not any(row[k] for row in a[k + 1:]):
+                break
+    return [abs(a[k][k]) for k in range(e)], v
 
 
 def primitive_integer_vector(vec) -> tuple[int, ...]:

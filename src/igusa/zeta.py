@@ -17,16 +17,22 @@ q^{-sigma(v) + sum_{j<l} d(v, Gamma_j)} t^{d(v, Gamma_l)}, it equals
     (sum over h' of x^{h'}) / prod_i (1 - x^{a_i}),
 
 where h' runs over the integer points of the half-open parallelepiped
-{sum mu_i a_i : 0 < mu_i <= 1}.  Equivalently h' = h + sum of the a_i with
-mu_i(h) = 0 over the usual [0,1) parallelepiped points h; on simple cones
-this reduces to prod_i x^{a_i}/(1 - x^{a_i}), which is the convention the
-worked tables use.  The displayed h-sum with the opposite sign convention
-is not a power series in t and fails the congruence-count oracle on
-non-simple cones, so this reading is normative (the oracle is the arbiter).
+{sum mu_i a_i : 0 < mu_i <= 1}: the usual [0,1) points h, whose
+coefficients mu come from one diagonal form of the generator matrix
+(``fan.parallelepiped_points_with_coords``), with each mu_i = 0 read as 1.
+On simple cones this reduces to prod_i x^{a_i}/(1 - x^{a_i}), the
+convention the worked tables use.  The displayed h-sum with the opposite
+sign convention is not a power series in t and fails the congruence-count
+oracle on non-simple cones, so this reading is normative (the oracle is the
+arbiter).  Each d(., Gamma_j) is linear on a closed cone of the fan, so
+x^{h'} = prod_i x^{mu_i a_i}: only the generators' exponent pairs are
+computed.  ``compute_S`` raises ``ValueError`` on a cone across a wall,
+where the generators' pairs do not add up to the interior point's.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -90,24 +96,19 @@ def _exponent_pair(v, sys: PolySystem) -> tuple[int, int]:
 def compute_S(cone: Cone, sys: PolySystem, ctx: PrimeContext) -> FactoredRationalFunction:
     """Lattice-point generating function of the open cone, in the x^v grading.
 
-    The numerator runs over the (0,1] parallelepiped points (realised as the
-    [0,1) points shifted by the generators whose coordinate vanishes); the
-    denominator carries one factor (1 - x^{a_i}) per generator.
+    The numerator runs over the (0,1] parallelepiped points, read off the
+    generators' exponent pairs (see the module docstring); the denominator
+    carries one factor (1 - x^{a_i}) per generator.  Raises ``ValueError``
+    on a cone where x^v is not linear.
     """
-    q = ctx.q
+    pairs = [_exponent_pair(g, sys) for g in cone.generators]
+    if _exponent_pair(cone.interior_point(), sys) != tuple(map(sum, zip(*pairs))):
+        raise ValueError(f"x^v is not linear on the cone spanned by {cone.generators}")
     num: dict[int, Fraction] = {}
-    for h, mu in parallelepiped_points_with_coords(cone):
-        shifted = list(h)
-        for g, m in zip(cone.generators, mu):
-            if m == 0:
-                shifted = [x + y for x, y in zip(shifted, g)]
-        a, b = _exponent_pair(shifted, sys)
-        num[b] = num.get(b, Fraction(0)) + qpow(q, a)
-    den: dict[tuple[int, int], int] = {}
-    for g in cone.generators:
-        a, b = _exponent_pair(g, sys)
-        den[(a, b)] = den.get((a, b), 0) + 1
-    return FactoredRationalFunction(q, num, den)
+    for _, mu in parallelepiped_points_with_coords(cone):
+        a, b = (int(sum((m or 1) * x for m, x in zip(mu, col))) for col in zip(*pairs))
+        num[b] = num.get(b, Fraction(0)) + qpow(ctx.q, a)
+    return FactoredRationalFunction(ctx.q, num, Counter(pairs))
 
 
 def compute_L(sys: PolySystem, ctx: PrimeContext, direction, budget: int = DEFAULT_ENUM_BUDGET) -> FactoredRationalFunction:

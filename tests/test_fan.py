@@ -12,6 +12,7 @@ from igusa.fan import (
     barycenter,
     dual_subdivision,
     parallelepiped_points,
+    parallelepiped_points_with_coords,
     triangulate,
 )
 from igusa.newton import system_polyhedron
@@ -181,6 +182,74 @@ class TestConeData:
     def test_primitive_generators_required(self):
         with pytest.raises(ValueError):
             Cone(((2, 4),))
+
+
+def _pp_group_filter(cone):
+    """Reference parallelepiped points by the group B^-1 Z^e / Z^e.
+
+    B is a full-rank square row-submatrix of the generator matrix A and
+    D = |det B|; the group is generated modulo D by the columns of D B^-1
+    and walked breadth first, and its members nu / D with A nu = 0 mod D
+    are the points' coefficients.
+    """
+    gens, e = cone.generators, len(cone.generators)
+    rows_idx = []
+    for i in range(cone.n):
+        trial = rows_idx + [i]
+        if linalg.rank([[gens[k][r] for k in range(e)] for r in trial]) == len(trial):
+            rows_idx = trial
+        if len(rows_idx) == e:
+            break
+    sub = [[gens[k][r] for k in range(e)] for r in rows_idx]
+    D = abs(linalg.det(sub).numerator)
+    steps = [tuple(int(row[j] * D) % D for row in linalg.invert(sub)) for j in range(e)]
+    group, frontier = {(0,) * e}, [(0,) * e]
+    while frontier:
+        nxt = []
+        for nu in frontier:
+            for s in steps:
+                cand = tuple((a + b) % D for a, b in zip(nu, s))
+                if cand not in group:
+                    group.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    out = []
+    for nu in group:
+        point = [sum(v * g[i] for v, g in zip(nu, gens)) for i in range(cone.n)]
+        if all(x % D == 0 for x in point):
+            out.append((tuple(x // D for x in point), tuple(Fraction(v, D) for v in nu)))
+    return sorted(out)
+
+
+def _random_simplicial_cone(rng):
+    """Independent nonnegative primitive generators, n in 1..5, often fewer
+    than n of them; entries shrink as the number of generators grows.
+    Returns None when the draw is dependent."""
+    n = rng.randint(1, 5)
+    e = rng.randint(1, n)
+    gens = set()
+    while len(gens) < e:
+        g = [rng.randint(0, 9 - e) for _ in range(n)]
+        if any(g):
+            gens.add(tuple(x // gcd(*g) for x in g))
+    gens = tuple(sorted(gens))
+    return Cone(gens) if linalg.rank(gens) == e else None
+
+
+def test_parallelepiped_against_group_filter():
+    rng = random.Random(2008)
+    cones = points = lower_dim = 0
+    while cones < 1000:
+        cone = _random_simplicial_cone(rng)
+        if cone is None:
+            continue
+        pts = parallelepiped_points_with_coords(cone)
+        assert pts == _pp_group_filter(cone), cone.generators
+        cones += 1
+        points += len(pts)
+        # Cones that are not full-dimensional, with a nontrivial parallelepiped.
+        lower_dim += cone.dim < cone.n and len(pts) > 1
+    assert lower_dim >= 50 and points >= 10000
 
 
 def test_facet_normals_once_per_cone(monkeypatch):

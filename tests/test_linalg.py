@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -11,6 +13,7 @@ from igusa.linalg import (
     primitive_integer_vector,
     rank,
     row_echelon,
+    smith,
     solve,
 )
 
@@ -115,6 +118,38 @@ def test_kernel_vector_matches_nullspace():
     assert kernel_vector([[2, -4, 0], [0, 0, Fraction(1, 3)]], 3) == (2, 1, 0)
 
 
+def _full_column_rank(corpus):
+    """The integer matrices of the corpus whose columns are independent."""
+    return [
+        m for m in corpus
+        if m[0] and all(type(x) is int for row in m for x in row) and rank(m) == len(m[0])
+    ]
+
+
+def test_smith_diagonalises():
+    matrices = _full_column_rank(_corpus())
+    assert len(matrices) >= 60
+    for m in matrices:
+        d, v = smith(m)
+        e = len(m[0])
+        assert len(d) == e and min(d) > 0, m
+        assert abs(det(v)) == 1, m
+        # A V = U^-1 diag(d): column i of A V is d_i times an integer column.
+        av = [[sum(a * v[k][i] for k, a in enumerate(row)) for i in range(e)] for row in m]
+        assert all(x % d[i] == 0 for row in av for i, x in enumerate(row)), m
+        minors = 0
+        for rows in combinations(m, e):
+            minors = gcd(minors, det(rows).numerator)
+        assert prod(d) == minors, m
+
+
+def test_smith_rejects_rank_deficient():
+    with pytest.raises(ValueError):
+        smith([[1, 2], [2, 4]])
+    with pytest.raises(ValueError):
+        smith([[1, 0, 0], [0, 1, 0]])
+
+
 class TestAgainstSympy:
     """Reference test: every exact result of the elimination kernel against
     sympy's independent implementation, on the seeded corpus."""
@@ -168,3 +203,10 @@ class TestAgainstSympy:
                 continue
             assert det(m) == self._frac(ref.det()), m
             assert invert(m) == (None if ref.det() == 0 else self._rows(ref.inv())), m
+
+    def test_smith_invariants(self, sp):
+        from sympy.matrices.normalforms import smith_normal_form
+
+        for m in _full_column_rank(_corpus()):
+            ref = smith_normal_form(self._matrix(sp, m), domain=sp.ZZ)
+            assert prod(smith(m)[0]) == abs(prod(int(ref[i, i]) for i in range(len(m[0])))), m

@@ -6,6 +6,7 @@ cached, so one test process runs each suite once.
 
 import random
 from functools import cache
+from itertools import combinations
 from fractions import Fraction
 from math import gcd
 
@@ -31,27 +32,31 @@ def _primitive(vec):
 
 @cache
 def check_parallelepiped_counts(cases=200, seed=20240817):
-    """Lattice-index identity: |parallelepiped points| = |det| for full-dim
-    simplicial cones with entries <= 9, n <= 4."""
+    """Lattice-index identity: |parallelepiped points| = the gcd of the
+    maximal minors of the generator matrix (|det| for a full-dimensional
+    cone), for simplicial cones with entries <= 9, n <= 4, about half of
+    them not full-dimensional."""
     rng = random.Random(seed)
-    done = 0
+    done = lower_dim = 0
     while done < cases:
         n = rng.randint(2, 4)
+        e = n if rng.random() < 0.5 else rng.randint(1, n - 1)
         gens = []
-        for _ in range(n):
+        for _ in range(e):
             v = [rng.randint(0, 9) for _ in range(n)]
             if all(x == 0 for x in v):
                 v[rng.randrange(n)] = 1
             gens.append(_primitive(v))
-        d = linalg.det([[Fraction(x) for x in g] for g in gens])
-        if d == 0:
+        if len(set(gens)) < e or linalg.rank(gens) < e:
             continue
-        if len(set(gens)) < n:
-            continue
-        cone = Cone(tuple(gens))
-        pts = parallelepiped_points(cone)
-        assert len(pts) == abs(int(d)), (gens, d, pts)
+        index = 0
+        for rows in combinations(range(n), e):
+            index = gcd(index, linalg.det([[g[r] for g in gens] for r in rows]).numerator)
+        pts = parallelepiped_points(Cone(tuple(gens)))
+        assert len(pts) == index, (gens, index, pts)
         done += 1
+        lower_dim += e < n
+    assert 50 <= lower_dim <= cases - 50
     return done
 
 

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from igusa.errors import HypothesisError
-from igusa.fan import Cone, dual_subdivision, triangulate
+from igusa.fan import Cone, dual_subdivision, parallelepiped_points_with_coords, triangulate
 from igusa.polycore import PolySystem, PrimeContext, parse_polynomial
 from igusa.ratfun import FactoredRationalFunction as FRF
+from igusa.ratfun import qpow
 from igusa.zeta import (
+    _exponent_pair,
     candidate_poles,
     compute_L,
     compute_S,
@@ -17,6 +19,7 @@ from igusa.zeta import (
 
 V2 = ["x", "y"]
 V3 = ["x", "y", "z"]
+V4 = ["x", "y", "z", "w"]
 
 E1, E3 = (1, 0, 0), (0, 0, 1)
 P, P1, P3 = (1, 1, 1), (2, 1, 1), (1, 1, 2)
@@ -51,6 +54,84 @@ def sys_nonsimple():
         3,
         [parse_polynomial("x+y+z^2", V3), parse_polynomial("x^2+y^2+z^4", V3)],
     )
+
+
+def _flipped_diagonals(s):
+    """Ex. 7.1's three quadrilateral classes, tiled by the other diagonal.
+
+    Returns the generator tuples of the triangulation's cones that the flip
+    replaces, and the cones that replace them.
+    """
+    sub = dual_subdivision(s)
+    tri = triangulate(sub)
+    quads = [c for c in sub.cones if len(c.generators) == 4]
+    assert len(quads) == 3
+    retiled, alt_parts = set(), []
+    for quad in quads:
+        members = set(quad.generators)
+        pieces = [c for c in tri.cones if c.dim == 3 and set(c.generators) <= members]
+        assert len(pieces) == 2
+        wall = tuple(sorted(set(pieces[0].generators) & set(pieces[1].generators)))
+        assert len(wall) == 2
+        alt_diag = tuple(sorted(members - set(wall)))
+        # the flipped diagonal must cut through the class interior
+        assert quad.contains_relint(Cone(alt_diag).interior_point())
+        alt_parts += [Cone(tuple(sorted(alt_diag + (w,)))) for w in wall] + [Cone(alt_diag)]
+        retiled.update(c.generators for c in pieces)
+        retiled.add(wall)
+    return retiled, alt_parts
+
+
+def _compute_S_per_point(cone, sys_, ctx):
+    """Reference S: every (0,1] parallelepiped point is formed as a vector,
+    the [0,1) point shifted by the generators whose coefficient vanishes,
+    and its exponent pair is taken from the supports directly."""
+    num = {}
+    for h, mu in parallelepiped_points_with_coords(cone):
+        shifted = list(h)
+        for g, m in zip(cone.generators, mu):
+            if m == 0:
+                shifted = [x + y for x, y in zip(shifted, g)]
+        a, b = _exponent_pair(shifted, sys_)
+        num[b] = num.get(b, Fraction(0)) + qpow(ctx.q, a)
+    den = {}
+    for g in cone.generators:
+        pair = _exponent_pair(g, sys_)
+        den[pair] = den.get(pair, 0) + 1
+    return FRF(ctx.q, num, den)
+
+
+def _systems_for_S():
+    quadric = PolySystem(4, [parse_polynomial("x+2*y+z^2-w", V4), parse_polynomial("x^2+3*y^2+z^2+2*w^2", V4)])
+    normals17 = PolySystem(3, [
+        parse_polynomial("x+y+z", V3),
+        parse_polynomial("x^17+y^16+z^15+x^9*y+y^8*z+z^7*x+x^5*y^3+y^5*z^3+z^5*x^3"
+                         "+x^2*y^2*z^2+x*y^6*z+x^3*y*z^4", V3),
+    ])
+    return [sys71(), sys72(2), sys72(3), sys72(4), quadric, sys_nonsimple(), normals17]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_compute_S_matches_per_point_reference(p):
+    ctx = PrimeContext(p)
+    cones = nontrivial = 0
+    for s in _systems_for_S():
+        for cone in dual_subdivision(s).triangulation.cones:
+            fast, ref = compute_S(cone, s, ctx), _compute_S_per_point(cone, s, ctx)
+            assert (fast.num, fast.den) == (ref.num, ref.den), cone.generators
+            cones += 1
+            nontrivial += len(ref.num) > 1
+    s = sys71()
+    for cone in _flipped_diagonals(s)[1]:
+        fast, ref = compute_S(cone, s, ctx), _compute_S_per_point(cone, s, ctx)
+        assert (fast.num, fast.den) == (ref.num, ref.den), cone.generators
+    assert cones > 150 and nontrivial > 10
+
+
+def test_compute_S_refuses_a_cone_across_a_wall():
+    # The positive orthant holds all of Ex. 7.1's fan: x^v is not linear on it.
+    with pytest.raises(ValueError):
+        compute_S(Cone(((1, 0, 0), (0, 1, 0), (0, 0, 1))), sys71(), PrimeContext(5))
 
 
 class TestComputeS:
@@ -226,35 +307,14 @@ class TestZeta:
         s = sys71()
         ctx = PrimeContext(5)
         rep = zeta_origin(s, ctx)
-
-        sub = dual_subdivision(s)
-        tri = triangulate(sub)
-        quads = [c for c in sub.cones if len(c.generators) == 4]
-        assert len(quads) == 3
+        tri = triangulate(dual_subdivision(s))
         from igusa.fan import barycenter
 
         total = FRF.zero(5)
-        retiled = set()
-        for quad in quads:
-            members = set(quad.generators)
-            pieces = [
-                c for c in tri.cones if c.dim == 3 and set(c.generators) <= members
-            ]
-            assert len(pieces) == 2
-            wall = tuple(sorted(set(pieces[0].generators) & set(pieces[1].generators)))
-            assert len(wall) == 2
-            alt_diag = tuple(sorted(members - set(wall)))
-            alt_parts = [
-                Cone(tuple(sorted(alt_diag + (w,)))) for w in wall
-            ] + [Cone(alt_diag)]
-            retiled.update(c.generators for c in pieces)
-            retiled.add(wall)
-            # the flipped diagonal must cut through the class interior
-            assert quad.contains_relint(Cone(alt_diag).interior_point())
-            for cone in alt_parts:
-                b = barycenter(cone)
-                if not all(x > 0 for x in b):
-                    continue
+        retiled, alt_parts = _flipped_diagonals(s)
+        for cone in alt_parts:
+            b = barycenter(cone)
+            if all(x > 0 for x in b):
                 total = total + compute_L(s, ctx, b) * compute_S(cone, s, ctx)
         for cone in tri.cones:
             if cone.generators in retiled:
