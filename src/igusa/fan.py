@@ -12,12 +12,14 @@ of facets.
 
 Triangulation never introduces new rays: each non-simplicial class is split
 by pulling from its first generator, and the internal walls of the split
-are kept as cones so the result is again a partition of R_+^n minus 0.
+are kept as cones so the result is again a partition of R_+^n minus 0.  The
+walls join the apex to the class's faces, split first: no linear algebra.
 
-A cone's facet normals come from ``newton.cone_facet_normals``, the routine
-that also gives the Newton polyhedron its facets.  A point lies in a cone's
-relative interior when every equation of the cone's span vanishes there and
-every facet normal is positive there: two integer tests, no solve.
+For the membership test a cone's facet normals come from
+``newton.cone_facet_normals``, the routine that also gives the Newton
+polyhedron its facets.  A point lies in a cone's relative interior when every
+equation of the cone's span vanishes there and every facet normal is positive
+there: two integer tests, no solve.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import gcd, lcm
 
 from . import linalg, newton
@@ -204,54 +206,30 @@ def dual_subdivision(sys: PolySystem) -> Fan:
 def triangulate(fan: Fan) -> Fan:
     """Refine every cone to simplicial ones without adding rays.
 
-    Non-simplicial classes are pulling-triangulated from their first
-    generator; the internal faces of the split (those whose relative
-    interior lies inside the class) become cones of the refined fan, so the
-    open-cone partition property is preserved.
+    A pulling triangulation (De Loera, Rambau and Santos, 2010) read off the
+    fan's faces, walked by generator count so faces split first.  A
+    non-simplicial class C is pulled from its first generator g: its open
+    cones join g to each open cone of a face G of C with g not in G and G
+    and g in no proper face of C.  Precondition: every face of a class is a
+    class, and every class lists its generators in one global order;
+    ``dual_subdivision`` and this function's own output meet it.
     """
-    out: list[Cone] = []
-    for cone in fan.cones:
+    pieces: dict[frozenset, list[Cone]] = {}
+    for cone in sorted(fan.cones, key=lambda c: len(c.generators)):
+        gens = frozenset(cone.generators)
         if cone.simplicial:
-            out.append(cone)
+            pieces[gens] = [cone]
             continue
-        pieces = _pulling_triangulation(list(cone.generators), cone.dim, cone.facet_normals)
-        emitted = set()
-        for piece in pieces:
-            emitted.add(tuple(piece))
-        # Internal faces: proper faces of pieces interior to the class.
-        for piece in pieces:
-            for size in range(1, len(piece)):
-                for sub in combinations(piece, size):
-                    if sub in emitted:
-                        continue
-                    probe = tuple(sum(col) for col in zip(*sub))
-                    if cone.contains_relint(probe):
-                        emitted.add(sub)
-        out.extend(Cone(gens) for gens in emitted)
-    out.sort(key=Cone.sorted_key)
+        apex = cone.generators[0]
+        faces = [face for face in pieces if face < gens]
+        pieces[gens] = [
+            Cone(tuple(sorted(sigma.generators + (apex,))))
+            for face in faces
+            if apex not in face and not any(face | {apex} <= other for other in faces)
+            for sigma in pieces[face]
+        ]
+    out = sorted((c for part in pieces.values() for c in part), key=Cone.sorted_key)
     return Fan(fan.n, out, skeleton=list(fan.skeleton))
-
-
-def _pulling_triangulation(gens: list[Ray], dim: int, normals=None) -> list[tuple[Ray, ...]]:
-    """Split cone(gens) into simplicial cones spanned by subsets of gens.
-
-    Pulls from the first generator: cone over the facets not containing it.
-    Deterministic in the generator order.  ``normals`` are the cone's facet
-    normals when the caller already has them.
-    """
-    if len(gens) == dim:
-        return [tuple(sorted(gens))]
-    apex = gens[0]
-    pieces = []
-    for normal in normals or newton.cone_facet_normals(gens):
-        side_apex = sum(u * x for u, x in zip(normal, apex))
-        if side_apex == 0:
-            continue
-        wall = [g for g in gens if sum(u * x for u, x in zip(normal, g)) == 0]
-        for sub in _pulling_triangulation(wall, dim - 1):
-            piece = tuple(sorted(set(sub) | {apex}))
-            pieces.append(piece)
-    return sorted(set(pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ A polyhedron here is conv(union of m + R_+^n over the support points m);
 its recession cone is always R_+^n.  Facets are enumerated exactly as the
 facets of the homogenisation cone{(m, 1)} + cone{(e_j, 0)}, leaving out the
 one at infinity.  ``cone_facet_normals`` finds the facets of any rational
-cone, and the fan's triangulation walls and cone membership tests use it
-too.  It runs the double description method (Fukuda and Prodon, "Double
-description method revisited", 1996): the facets of a simplicial cone on a
-basis of generators are integer kernels read off the fraction-free
-elimination, and each further generator cuts them, combining the adjacent
-facet pairs it separates.  Everything is exact integer arithmetic.
+cone; its callers are these Newton facets and the fan's relative-interior
+test ``Cone.contains_relint``.  It runs the double description method
+(Fukuda and Prodon, "Double description method revisited", 1996): the
+facets of a simplicial cone on a basis of generators are integer kernels
+read off the fraction-free elimination, and each further generator cuts
+them, combining the adjacent facet pairs it separates.  Everything is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def _enumerate_facets(n: int, pts: list[Exponent]) -> list[Facet]:
 
 
 def cone_facet_normals(gens) -> list[tuple[int, ...]]:
-    """Primitive integer inner facet normals of cone(gens), inside span(gens).
+    """Primitive integer inner facet normals of cone(gens), inside span(gens),
+    for the Newton polyhedron's facets and ``fan.Cone.contains_relint``.
 
     Each returned vector u lies in span(gens) and satisfies <u, g> >= 0 for
     all generators, with equality on a subset of rank dim-1.  They are the

@@ -117,14 +117,22 @@ class PrimeContext:
         return self.p
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
+    """Miller-Rabin to the first 13 prime bases: exact below ``MR_EXACT_BELOW``
+    (Sorenson and Webster, Math. Comp. 86, 2017), refused at or above it."""
+    if n >= MR_EXACT_BELOW:
+        raise ValueError(f"primality is only decided below {MR_EXACT_BELOW}, got {n}")
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << k, n) for k in range(s)):
             return False
-        f += 1
     return True
 
 

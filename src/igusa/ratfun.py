@@ -218,7 +218,7 @@ class FactoredRationalFunction:
         if self.is_zero():
             return "0"
         num = " + ".join(
-            f"({_frac_str(c)})*t^{k}" if k else f"({_frac_str(c)})"
+            f"({c!s})*t^{k}" if k else f"({c!s})"
             for k, c in sorted(self.num.items())
         )
         if not self.den:
@@ -234,7 +234,7 @@ class FactoredRationalFunction:
         if self.is_zero():
             return "0"
         num = " + ".join(
-            f"({_frac_str(c)})*{self.q}^{{-{k}s}}" if k else f"({_frac_str(c)})"
+            f"({c!s})*{self.q}^{{-{k}s}}" if k else f"({c!s})"
             for k, c in sorted(self.num.items())
         )
         if not self.den:
@@ -303,10 +303,6 @@ def _divide_by_factor(num: dict[int, Fraction], factor: Factor, q: int) -> dict[
                 return None
             quo[k] = c
     return quo
-
-
-def _frac_str(c: Fraction) -> str:
-    return str(c)
 
 
 def _q_power_str(q: int, a: int) -> str:

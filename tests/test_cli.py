@@ -496,6 +496,14 @@ class TestMain:
         assert detail["error"] == "ConfigError"
         assert "odd prime" in detail["message"]
 
+    def test_prime_past_exact_primality_exit_1(self, tmp_path, capsys):
+        # Miller-Rabin to the fixed bases decides primality only below the bound.
+        from igusa.polycore import MR_EXACT_BELOW
+
+        assert main(["check", "--input", _write(tmp_path, JOB_71), "--prime", str(MR_EXACT_BELOW + 2)]) == 1
+        detail = json.loads(capsys.readouterr().err)
+        assert detail["error"] == "ConfigError" and str(MR_EXACT_BELOW) in detail["message"]
+
     @pytest.mark.parametrize(
         "args, job_line",
         [(["--depth", "0"], None), (["--depth", "-1"], None), ([], "depth = 0"), ([], "expsum_levels = 0"),

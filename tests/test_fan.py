@@ -6,16 +6,17 @@ from math import gcd
 
 import pytest
 
-from igusa import linalg
+from igusa import linalg, newton
 from igusa.fan import (
     Cone,
+    Fan,
     barycenter,
     dual_subdivision,
     parallelepiped_points,
     parallelepiped_points_with_coords,
     triangulate,
 )
-from igusa.newton import system_polyhedron
+from igusa.newton import cone_facet_normals, system_polyhedron
 from igusa.polycore import IntPolynomial, PolySystem, face_function, is_convenient, parse_polynomial
 
 V2 = ["x", "y"]
@@ -253,10 +254,10 @@ def test_parallelepiped_against_group_filter():
 
 
 def test_facet_normals_once_per_cone(monkeypatch):
-    # Ex. 7.1 at p = 23, `igusa zeta`: triangulating the fan asks each
-    # non-simplicial class for its facet normals many times.  The Newton
-    # polyhedron's facets come from the same routine on its homogenisation
-    # cone in R^4; only the calls on cones in R^3 are counted.
+    # Ex. 7.1 at p = 23, `igusa zeta`: the triangulation reads its walls off
+    # the fan's faces, so no cone in R^3 asks for its facet normals.  The
+    # Newton polyhedron's facets come from the same routine on its
+    # homogenisation cone in R^4; only the calls on cones in R^3 are counted.
     import collections
 
     import igusa.newton as newton_mod
@@ -275,7 +276,7 @@ def test_facet_normals_once_per_cone(monkeypatch):
     cfg = parse_config("vars = x, y, z\nprime = 23\n[polys]\nx+y-z\nx^8+y^8+z^8+x^2*y^2*z^2\n")
     cfg.mode = "zeta"
     assert run(cfg)[1] == 0
-    assert len(expected) == 3 and calls == dict.fromkeys(expected, 1)
+    assert len(expected) == 3 and calls == {}
 
 
 def _gram_facet_normals(gens):
@@ -421,3 +422,89 @@ def test_incidence_closure_matches_subset_probing():
         assert [c.generators for c in fan.cones] == [c.generators for c in cones], sys_
         assert fan.skeleton == rays
         compared[is_convenient(sys_).convenient] += 1
+
+
+def _probed_triangulation(fan):
+    """Reference triangulation: pull each non-simplicial class from its first
+    generator over its facet normals, recursing into the facets that miss
+    the apex, and keep every proper face of a piece whose barycentre lies
+    in the class's relative interior."""
+    out = []
+    for cone in fan.cones:
+        if cone.simplicial:
+            out.append(cone)
+            continue
+        pieces = _pulling_triangulation(list(cone.generators), cone.dim, cone.facet_normals)
+        emitted = set(pieces)
+        for piece in pieces:
+            for size in range(1, len(piece)):
+                for sub in combinations(piece, size):
+                    if sub not in emitted and cone.contains_relint(tuple(map(sum, zip(*sub)))):
+                        emitted.add(sub)
+        out.extend(Cone(gens) for gens in emitted)
+    out.sort(key=Cone.sorted_key)
+    return Fan(fan.n, out, skeleton=list(fan.skeleton))
+
+
+def _pulling_triangulation(gens, dim, normals=None):
+    """Simplicial cones on subsets of gens covering cone(gens): the apex
+    gens[0] joined to the split facets that miss it."""
+    if len(gens) == dim:
+        return [tuple(sorted(gens))]
+    apex = gens[0]
+    pieces = set()
+    for normal in normals or cone_facet_normals(gens):
+        if sum(u * x for u, x in zip(normal, apex)) == 0:
+            continue
+        wall = [g for g in gens if sum(u * x for u, x in zip(normal, g)) == 0]
+        for sub in _pulling_triangulation(wall, dim - 1):
+            pieces.add(tuple(sorted(set(sub) | {apex})))
+    return sorted(pieces)
+
+
+def _refuse(*args):
+    raise AssertionError("the triangulation reads no facet normals and probes no interiors")
+
+
+def _assert_same_triangulation(fan):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Cone, "contains_relint", _refuse)
+        mp.setattr(newton, "cone_facet_normals", _refuse)
+        tri = triangulate(fan)
+    ref = _probed_triangulation(fan)
+    assert [c.generators for c in tri.cones] == [c.generators for c in ref.cones]
+    assert tri.skeleton == ref.skeleton
+
+
+V4, V5, V6 = list("xyzw"), list("abcde"), list("abcdef")
+TRIANGULATED_SYSTEMS = {
+    "ex71": (V3, ["x+y-z", "x^8+y^8+z^8+x^2*y^2*z^2"]),
+    "17-normals": (V3, ["x+y+z", "x^17+y^16+z^15+x^9*y+y^8*z+z^7*x+x^5*y^3+y^5*z^3+z^5*x^3"
+                                 "+x^2*y^2*z^2+x*y^6*z+x^3*y*z^4"]),
+    "quadric-4var": (V4, ["x+2*y+z^2-w", "x^2+3*y^2+z^2+2*w^2"]),
+    "sextic-4var": (V4, ["x+2*y+z^2-w", "x^6+y^6+z^6+w^6+x^2*y^2*z*w+x*y^3*w"]),
+    "5-var": (V5, ["a+b+c+d-e", "a^6+b^6+c^6+d^6+e^6+a^2*b*c*d*e+a*b^3*e^2+c^2*d^2*e"]),
+    "6-var": (V6, ["a+b+c+d+e-f", "a^6+b^6+c^6+d^6+e^6+f^6+a^2*b*c*d*e*f+a*b^3*e^2+c^2*d^2*f+b*c*d^2*e*f"]),
+    "ex72-k2": (V2, ["x^2+y^2", "x^4+y^4+x*y"]),
+    "nonsimple": (V3, ["x+y+z^2", "x^2+y^2+z^4"]),
+}
+
+
+@pytest.mark.parametrize("name", list(TRIANGULATED_SYSTEMS))
+def test_triangulation_matches_probing_on_named_systems(name):
+    variables, polys = TRIANGULATED_SYSTEMS[name]
+    _assert_same_triangulation(
+        dual_subdivision(PolySystem(len(variables), [parse_polynomial(f, variables) for f in polys]))
+    )
+
+
+def test_triangulation_matches_probing_on_random_systems():
+    # 150 convenient pairs of polynomials; 88 of their fans have a
+    # non-simplicial class, none of them in R^2.
+    rng = random.Random(20261019)
+    non_simplicial = {2: 0, 3: 0, 4: 0}
+    for _ in range(150):
+        fan = dual_subdivision(_random_system(rng, rng.choice([2, 3, 4]), 2, convenient=True))
+        _assert_same_triangulation(fan)
+        non_simplicial[fan.n] += not all(c.simplicial for c in fan.cones)
+    assert non_simplicial[2] == 0 and sum(non_simplicial.values()) == 88

@@ -1,10 +1,11 @@
+import time
 from itertools import product
 
 import numpy as np
 import pytest
 
 from igusa import polycore
-from igusa.errors import ModulusOverflowError, PolynomialSyntaxError
+from igusa.errors import BudgetExceededError, ModulusOverflowError, PolynomialSyntaxError
 from igusa.polycore import (
     IntPolynomial,
     PolySystem,
@@ -250,3 +251,43 @@ class TestSystemAndContext:
         f = parse_polynomial("x^2*y + 3*y^2", V2)
         assert f.partial(0).terms == {(1, 1): 2}
         assert f.partial(1).terms == {(2, 0): 1, (0, 1): 6}
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+class TestPrimality:
+    def test_agrees_with_trial_division(self):
+        assert [n for n in range(20000) if polycore._is_prime(n)] == [
+            n for n in range(20000) if _trial_division_is_prime(n)
+        ]
+
+    def test_rejects_strong_pseudoprimes(self):
+        # A Carmichael number, then strong pseudoprimes to bases 2, 3, 5, 7;
+        # to every base up to 31; and to every base up to 37.
+        for n in (561, 3215031751, 3825123056546413051, 318665857834031151167461):
+            assert not polycore._is_prime(n)
+
+    def test_accepts_large_prime_fast(self):
+        start = time.perf_counter()
+        assert PrimeContext(10**18 + 3).q == 10**18 + 3
+        assert time.perf_counter() - start < 0.1
+
+    def test_refuses_at_the_exact_bound(self):
+        # The bound itself is composite and a strong pseudoprime to all 13 bases.
+        assert not polycore._is_prime(polycore.MR_EXACT_BELOW - 1)
+        with pytest.raises(ValueError, match=str(polycore.MR_EXACT_BELOW)):
+            PrimeContext(polycore.MR_EXACT_BELOW)
+
+    def test_large_prime_job_refused_by_budget(self):
+        # Ex. 7.1 at p = 10^18 + 3: the prime is accepted at once and the
+        # non-degeneracy budget refuses the (p-1)^2 points of a scan.
+        from igusa.cli import parse_config, run
+
+        p = 10**18 + 3
+        cfg = parse_config(f"vars = x, y, z\nprime = {p}\n[polys]\nx+y-z\nx^8+y^8+z^8+x^2*y^2*z^2\n")
+        cfg.mode = "check"
+        with pytest.raises(BudgetExceededError) as info:
+            run(cfg)
+        assert info.value.required == (p - 1) ** 2
