@@ -448,8 +448,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            config = parse_config(fh.read())
+        try:
+            with open(args.input, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read job file {args.input!r}: {exc}") from exc
+        config = parse_config(text)
         config.mode = args.command
         if args.prime is not None:
             config.prime = args.prime

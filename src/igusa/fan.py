@@ -14,12 +14,6 @@ Triangulation never introduces new rays: each non-simplicial class is split
 by pulling from its first generator, and the internal walls of the split
 are kept as cones so the result is again a partition of R_+^n minus 0.  The
 walls join the apex to the class's faces, split first: no linear algebra.
-
-For the membership test a cone's facet normals come from
-``newton.cone_facet_normals``, the routine that also gives the Newton
-polyhedron its facets.  A point lies in a cone's relative interior when every
-equation of the cone's span vanishes there and every facet normal is positive
-there: two integer tests, no solve.
 """
 
 from __future__ import annotations
@@ -76,32 +70,11 @@ class Cone:
     def simplicial(self) -> bool:
         return self.dim == len(self.generators)
 
-    @cached_property
-    def facet_normals(self) -> list[Ray]:
-        return newton.cone_facet_normals(self.generators)
-
-    @cached_property
-    def _span_equations(self) -> list[Ray]:
-        return [linalg.primitive_integer_vector(v) for v in linalg.nullspace(self.generators)]
-
     def sorted_key(self):
         return (len(self.generators), self.generators)
 
     def interior_point(self) -> Ray:
         return tuple(sum(g[j] for g in self.generators) for j in range(self.n))
-
-    def contains_relint(self, point) -> bool:
-        """Exact test: is the point in the relative interior of this cone?
-
-        It is when every equation of the span vanishes at the point and every
-        facet normal is positive there.
-        """
-        def side(u):
-            return sum(a * x for a, x in zip(u, point))
-
-        return all(side(eq) == 0 for eq in self._span_equations) and all(
-            side(normal) > 0 for normal in self.facet_normals
-        )
 
 
 @dataclass
@@ -116,9 +89,6 @@ class Fan:
     def triangulation(self) -> "Fan":
         """The simplicial refinement, computed on first use and kept."""
         return triangulate(self)
-
-    def locate(self, point) -> list[Cone]:
-        return [c for c in self.cones if c.contains_relint(point)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,12 @@ A polyhedron here is conv(union of m + R_+^n over the support points m);
 its recession cone is always R_+^n.  Facets are enumerated exactly as the
 facets of the homogenisation cone{(m, 1)} + cone{(e_j, 0)}, leaving out the
 one at infinity.  ``cone_facet_normals`` finds the facets of any rational
-cone; its callers are these Newton facets and the fan's relative-interior
-test ``Cone.contains_relint``.  It runs the double description method
-(Fukuda and Prodon, "Double description method revisited", 1996): the
-facets of a simplicial cone on a basis of generators are integer kernels
-read off the fraction-free elimination, and each further generator cuts
-them, combining the adjacent facet pairs it separates.  Everything is exact
-integer arithmetic.
+cone and serves only these Newton facets.  It runs the double description
+method (Fukuda and Prodon, "Double description method revisited", 1996):
+the facets of a simplicial cone on a basis of generators are integer
+kernels read off the fraction-free elimination, and each further generator
+cuts them, combining the adjacent facet pairs it separates.  Everything is
+exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ class Facet:
 class NewtonPolyhedron:
     n: int
     generators: list[Exponent]   # support points (possibly redundant)
-    vertices: list[Exponent]     # minimal generating subset
     facets: list[Facet]
 
 
@@ -58,13 +56,7 @@ def polyhedron_from_points(n: int, points) -> NewtonPolyhedron:
     if any(len(m) != n or min(m) < 0 for m in pts):
         raise ValueError("support points must be nonnegative vectors of length n")
 
-    facets = _enumerate_facets(n, pts)
-    vertices = []
-    for m in pts:
-        active = [f.normal for f in facets if _dot(f.normal, m) == f.offset]
-        if active and linalg.rank(active) == n:
-            vertices.append(m)
-    return NewtonPolyhedron(n, pts, vertices, facets)
+    return NewtonPolyhedron(n, pts, _enumerate_facets(n, pts))
 
 
 def build_polyhedron(f: IntPolynomial) -> NewtonPolyhedron:
@@ -93,7 +85,7 @@ def _enumerate_facets(n: int, pts: list[Exponent]) -> list[Facet]:
 
 def cone_facet_normals(gens) -> list[tuple[int, ...]]:
     """Primitive integer inner facet normals of cone(gens), inside span(gens),
-    for the Newton polyhedron's facets and ``fan.Cone.contains_relint``.
+    for the Newton polyhedron's facets.
 
     Each returned vector u lies in span(gens) and satisfies <u, g> >= 0 for
     all generators, with equality on a subset of rank dim-1.  They are the

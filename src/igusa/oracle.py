@@ -32,29 +32,24 @@ from functools import cache
 
 import numpy as np
 
+from . import polycore
 from .errors import DEFAULT_ENUM_BUDGET, check_budget
-from .polycore import GRID_CHUNK, PolySystem, PrimeContext, _content, eval_on_grid, face_function, grid_zeros, primitive_root
+from .polycore import PolySystem, PrimeContext, _content, eval_on_grid, face_function, grid_zeros, primitive_root, product_chunks
 from .ratfun import FactoredRationalFunction
 
 
 def _lifts(base: list[np.ndarray], modulus: int, width: int):
     """Yield, at most GRID_CHUNK points at a time, the points x + modulus*d
     for x in ``base`` and d in [0, width)^n (x-major, d_1 fastest): base
-    rows broadcast against blocks of at most GRID_CHUNK offsets modulus*d.
+    rows broadcast against the blocks of digits d from ``product_chunks``.
 
     Always yields at least one (possibly empty) chunk, so an empty base
     lifts to an empty level.
     """
-    size = width ** len(base)
-    block = min(size, GRID_CHUNK)
-    rows = GRID_CHUNK // block
-    offsets = None
+    rows = max(1, polycore.GRID_CHUNK // width ** len(base))
     for start in range(0, len(base[0]) or 1, rows):
-        for lo in range(0, size, block):
-            if offsets is None or block < size:
-                digits = np.unravel_index(np.arange(lo, min(lo + block, size)), (width,) * len(base), order="F")
-                offsets = [modulus * d for d in digits]
-            yield [(x[start : start + rows, None] + d).ravel() for x, d in zip(base, offsets)]
+        for digits in product_chunks([np.arange(width)] * len(base)):
+            yield [(x[start : start + rows, None] + modulus * d).ravel() for x, d in zip(base, digits)]
 
 
 def _head_levels(sys: PolySystem, p: int, top: int, budget: int, what: str) -> list:
@@ -64,7 +59,10 @@ def _head_levels(sys: PolySystem, p: int, top: int, budget: int, what: str) -> l
     H_0 is the single point mod 1.  The walk is kept on ``sys`` per prime
     and polynomials and deepened on demand.  Before each level m the budget
     is checked, on every call, on the |H_{m-1}| p^n lifts it tests.
+    A negative ``top`` is a ValueError.
     """
+    if top < 0:
+        raise ValueError(f"level {top} is negative")
     origin = ([np.zeros(1, dtype=np.int64)] * sys.n, np.zeros(1, dtype=np.int64))  # f_l = 0 mod 1
     levels = sys.scans.setdefault((p, "lift tree", _content(sys.polys)), [origin])
     for m in range(1, top + 1):
@@ -75,16 +73,6 @@ def _head_levels(sys: PolySystem, p: int, top: int, budget: int, what: str) -> l
             level = [np.concatenate(axis) for axis in zip(*chunks)]
             levels.append((level, eval_on_grid(sys.polys[-1], level, p**m)))
     return levels[: top + 1]
-
-
-def _last_at(sys: PolySystem, p: int, m: int, budget: int, what: str) -> np.ndarray:
-    """f_l mod p^m at the points of H_m."""
-    return _head_levels(sys, p, m, budget, what)[m][1]
-
-
-def _last_on_levels(sys: PolySystem, p: int, top: int, budget: int, what: str) -> list[np.ndarray]:
-    """f_l mod p^m at the points of H_m, for m = 0, ..., top."""
-    return [fl for _, fl in _head_levels(sys, p, top, budget, what)]
 
 
 def _check_unit(u: int, p: int):
@@ -126,12 +114,12 @@ def count_Nm(sys: PolySystem, ctx: PrimeContext, m: int, budget: int = DEFAULT_E
     identity; without it, it is still the raw count of the congruence
     system (callers label it accordingly).
     """
-    return int((_last_at(sys, ctx.p, m, budget, "congruence enumeration") == 0).sum())
+    return int((_head_levels(sys, ctx.p, m, budget, "congruence enumeration")[m][1] == 0).sum())
 
 
 def congruence_table(sys: PolySystem, ctx: PrimeContext, depth: int, budget: int = DEFAULT_ENUM_BUDGET) -> CongruenceTable:
-    levels = _last_on_levels(sys, ctx.p, depth, budget, "congruence enumeration")
-    counts = {m: int((fl == 0).sum()) for m, fl in enumerate(levels)}
+    levels = _head_levels(sys, ctx.p, depth, budget, "congruence enumeration")
+    counts = {m: int((fl == 0).sum()) for m, (_, fl) in enumerate(levels)}
     return CongruenceTable(ctx.p, depth, counts)
 
 
@@ -144,7 +132,7 @@ def exp_sum(sys: PolySystem, ctx: PrimeContext, m: int, u: int = 1, budget: int 
         return complex(1.0)
     p = ctx.p
     _check_unit(u, p)
-    fl = _last_at(sys, p, m, budget, "exponential-sum enumeration")
+    fl = _head_levels(sys, p, m, budget, "exponential-sum enumeration")[m][1]
     return _exp_value(fl, p**m, u, Fraction(1, p ** (m * (sys.n - sys.l + 1))))
 
 
@@ -152,10 +140,10 @@ def expsum_table(sys: PolySystem, ctx: PrimeContext, levels: int, u: int = 1, bu
     p = ctx.p
     if levels >= 1:
         _check_unit(u, p)
-    fls = _last_on_levels(sys, p, levels, budget, "exponential-sum enumeration")
+    walk = _head_levels(sys, p, levels, budget, "exponential-sum enumeration")
     return [
         ExpSumValue(m, u, _exp_value(fl, p**m, u, Fraction(1, p ** (m * (sys.n - sys.l + 1)))))
-        for m, fl in enumerate(fls)
+        for m, (_, fl) in enumerate(walk)
     ]
 
 
@@ -233,7 +221,7 @@ def gaussian_sum(chi: MultChar) -> complex:
 def _ac_counts(sys: PolySystem, ctx: PrimeContext, k: int, budget: int) -> dict[int, int]:
     """Counts, by angular component, of y mod p^{k+1} on the head variety
     with ord(f_l(y)) = k."""
-    return _ac_from(_last_at(sys, ctx.p, k + 1, budget, "coefficient enumeration"), ctx.p, k)
+    return _ac_from(_head_levels(sys, ctx.p, k + 1, budget, "coefficient enumeration")[k + 1][1], ctx.p, k)
 
 
 def _ac_from(fl: np.ndarray, p: int, k: int) -> dict[int, int]:
@@ -251,6 +239,8 @@ def coeff_extract(sys: PolySystem, ctx: PrimeContext, k: int, chi: MultChar, bud
         raise ValueError("character prime differs from context prime")
     if chi.conductor > 1:
         raise ValueError("conductor > 1 characters are not supported")
+    if k < 0:
+        raise ValueError(f"coefficient index {k} is negative")
     counts = _ac_counts(sys, ctx, k, budget)
     return _twisted_coeff(counts, chi, Fraction(1, ctx.p ** ((k + 1) * (sys.n - sys.l + 1))))
 
@@ -288,7 +278,7 @@ def prop3_residual(sys: PolySystem, ctx: PrimeContext, m: int, u: int = 1, budge
     p = ctx.p
     _check_unit(u, p)
     # E, N_m and every c_{m-1}(chi) are read off one evaluation of f_l on H_m.
-    fl = _last_at(sys, p, m, budget, "exponential-sum enumeration")
+    fl = _head_levels(sys, p, m, budget, "exponential-sum enumeration")[m][1]
     norm = Fraction(1, p ** (m * (sys.n - sys.l + 1)))
     lhs = _exp_value(fl, p**m, u, norm)
     nm = int((fl == 0).sum())

@@ -40,6 +40,8 @@ class FactoredRationalFunction:
         self.num: dict[int, Fraction] = {}
         if num:
             for k, c in num.items():
+                if k < 0:
+                    raise ValueError(f"negative power t^{k}: the numerator must be a polynomial")
                 c = Fraction(c)
                 if c != 0:
                     self.num[int(k)] = c
@@ -72,18 +74,6 @@ class FactoredRationalFunction:
     @staticmethod
     def one(q: int) -> "FactoredRationalFunction":
         return FactoredRationalFunction(q, {0: Fraction(1)})
-
-    @staticmethod
-    def monomial(q: int, coeff, power: int) -> "FactoredRationalFunction":
-        return FactoredRationalFunction(q, {power: Fraction(coeff)})
-
-    @staticmethod
-    def geometric_factor(q: int, a: int, b: int) -> "FactoredRationalFunction":
-        """q^a t^b / (1 - q^a t^b); for b = 0 this is the scalar it equals."""
-        if b == 0:
-            val = qpow(q, a) / (1 - qpow(q, a))
-            return FactoredRationalFunction(q, {0: val})
-        return FactoredRationalFunction(q, {b: qpow(q, a)}, {(a, b): 1})
 
     # -- structure ----------------------------------------------------------
 
@@ -156,19 +146,9 @@ class FactoredRationalFunction:
         out._cancel()
         return out
 
-    def scaled(self, c) -> "FactoredRationalFunction":
-        c = Fraction(c)
-        if c == 0:
-            return FactoredRationalFunction.zero(self.q)
-        out = self.copy()
-        out.num = {k: v * c for k, v in out.num.items()}
-        return out
-
     def shifted(self, powers: int) -> "FactoredRationalFunction":
-        """Multiply by t^powers."""
-        out = self.copy()
-        out.num = {k + powers: v for k, v in out.num.items()}
-        return out
+        """Multiply by t^powers; the numerator must stay a polynomial."""
+        return FactoredRationalFunction(self.q, {k + powers: v for k, v in self.num.items()}, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactoredRationalFunction):

@@ -140,6 +140,15 @@ class TestConfig:
         detail = json.loads(capsys.readouterr().err)
         assert detail["error"] == "ConfigError" and message in detail["message"]
 
+    @pytest.mark.parametrize("content", [None, b"vars = x, y\xff\n"], ids=["missing", "not-utf8"])
+    def test_unreadable_job_file_exit_1(self, tmp_path, capsys, content):
+        path = tmp_path / "job.cfg"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["zeta", "--input", str(path)]) == 1
+        detail = json.loads(capsys.readouterr().err)
+        assert detail["error"] == "ConfigError" and str(path) in detail["message"]
+
     def test_comments_ignored(self):
         cfg = parse_config("# hello\nvars = x, y\nprime = 7 # the prime\n[polys]\nx + y\nx^2+y^2\n")
         assert cfg.prime == 7

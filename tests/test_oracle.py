@@ -431,11 +431,11 @@ def test_head_without_zeros_gives_empty_levels():
 
 
 def test_chunk_boundaries_change_nothing(monkeypatch):
-    # Lifts are made GRID_CHUNK points at a time; a chunk may end inside the
-    # p^n lifts of one point, and p^n = 27 > 7 splits each point's digits.
-    # Exact counts, and so E, must not move.  A fresh system per call keeps
-    # the kept lift tree from answering the second pass.
-    import igusa.oracle as oracle_mod
+    # Lifts are made polycore.GRID_CHUNK points at a time; a chunk may end
+    # inside the p^n lifts of one point, and p^n = 27 > 7 splits each point's
+    # digits.  Exact counts, and so E, must not move.  A fresh system per
+    # call keeps the kept lift tree from answering the second pass.
+    import igusa.polycore as polycore_mod
 
     ctx = PrimeContext(3)
 
@@ -449,8 +449,60 @@ def test_chunk_boundaries_change_nothing(monkeypatch):
         )
 
     expected = results()
-    monkeypatch.setattr(oracle_mod, "GRID_CHUNK", 7)
+    monkeypatch.setattr(polycore_mod, "GRID_CHUNK", 7)
     assert results() == expected
+
+
+def _reference_lifts(base, modulus, width, grid_chunk):
+    """The lifts x + modulus*d chunked by their own flat digit index: base
+    rows broadcast against blocks of at most grid_chunk offsets."""
+    size = width ** len(base)
+    block = min(size, grid_chunk)
+    rows = grid_chunk // block
+    offsets = None
+    for start in range(0, len(base[0]) or 1, rows):
+        for lo in range(0, size, block):
+            if offsets is None or block < size:
+                digits = np.unravel_index(np.arange(lo, min(lo + block, size)), (width,) * len(base), order="F")
+                offsets = [modulus * d for d in digits]
+            yield [(x[start : start + rows, None] + d).ravel() for x, d in zip(base, offsets)]
+
+
+@pytest.mark.parametrize("grid_chunk", [7, 64, 1 << 20])
+def test_lifts_match_reference_chunk_by_chunk(monkeypatch, grid_chunk):
+    import igusa.polycore as polycore_mod
+    from igusa.oracle import _lifts
+
+    monkeypatch.setattr(polycore_mod, "GRID_CHUNK", grid_chunk)
+    rng = np.random.default_rng(grid_chunk)
+    for n in (1, 2, 3):
+        for width in (1, 2, 3, 5):
+            for size in (0, 1, 4, 30):
+                base = [rng.integers(0, 50, size, dtype=np.int64) for _ in range(n)]
+                got = list(_lifts(base, 50, width))
+                ref = list(_reference_lifts(base, 50, width, grid_chunk))
+                assert len(got) == len(ref), (n, width, size)
+                for a, b in zip(got, ref):
+                    assert len(a) == len(b) == n
+                    for x, y in zip(a, b):
+                        assert x.dtype == y.dtype and np.array_equal(x, y), (n, width, size)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, ctx: count_Nm(s, ctx, -1),
+        lambda s, ctx: exp_sum(s, ctx, -1),
+        lambda s, ctx: prop3_residual(s, ctx, -1),
+        lambda s, ctx: deltaR_measures(s, ctx, -1, 2),
+        lambda s, ctx: coeff_extract(s, ctx, -1, MultChar(ctx.p, 0)),
+        lambda s, ctx: congruence_table(s, ctx, -1),
+        lambda s, ctx: expsum_table(s, ctx, -2),
+    ],
+)
+def test_negative_level_rejected(call):
+    with pytest.raises(ValueError, match="negative"):
+        call(sys71(), PrimeContext(5))
 
 
 # ---------------------------------------------------------------------------

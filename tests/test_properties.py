@@ -19,6 +19,8 @@ from igusa.polycore import IntPolynomial, PolySystem, PrimeContext, eval_on_grid
 from igusa.ratfun import FactoredRationalFunction as FRF
 from igusa.ratfun import _poly_mul
 
+from test_fan import locate
+
 V2 = ["x", "y"]
 V3 = ["x", "y", "z"]
 
@@ -91,7 +93,7 @@ def check_fan_partition(rays=1000, seed=20240818):
                 a = [Fraction(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(n)]
             if all(x == 0 for x in a):
                 a[0] = Fraction(1)
-            owners = fan.locate(tuple(a))
+            owners = locate(fan, tuple(a))
             assert len(owners) == 1, (s.polys, a, [c.generators for c in owners])
             total += 1
     return total

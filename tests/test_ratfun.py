@@ -3,10 +3,28 @@ from fractions import Fraction
 import pytest
 
 from igusa.ratfun import FactoredRationalFunction as FRF
+from igusa.ratfun import qpow
 
 
 def F(q, num, den=None):
     return FRF(q, {k: Fraction(v) for k, v in num.items()}, den or {})
+
+
+def geometric_factor(q, a, b):
+    """q^a t^b / (1 - q^a t^b); for b = 0 this is the scalar it equals."""
+    if b == 0:
+        return FRF(q, {0: qpow(q, a) / (1 - qpow(q, a))})
+    return FRF(q, {b: qpow(q, a)}, {(a, b): 1})
+
+
+def scaled(r, c):
+    """c * r, by scaling the numerator."""
+    c = Fraction(c)
+    if c == 0:
+        return FRF.zero(r.q)
+    out = r.copy()
+    out.num = {k: v * c for k, v in out.num.items()}
+    return out
 
 
 class TestConstruction:
@@ -29,6 +47,19 @@ class TestConstruction:
         assert r.den == {}
         assert r == FRF.one(3)
 
+    @pytest.mark.parametrize("num", [{-1: 1}, {-2: 3, 0: 1}])
+    def test_negative_power_rejected(self, num):
+        # t^-1 / (1 - 5t) is not a polynomial over a factored denominator;
+        # it must not be read as the zero function.
+        with pytest.raises(ValueError):
+            FRF(5, num, {(1, 1): 1})
+
+    def test_shift_below_t0_rejected(self):
+        r = FRF(5, {0: 1}, {(1, 1): 1})
+        with pytest.raises(ValueError):
+            r.shifted(-1)
+        assert r.shifted(1).shifted(-1).taylor(2) == [1, 5, 25]
+
     def test_partial_cancellation_kept(self):
         # numerator (1 - q t) does not divide (1 - q^2 t^2) fully
         r = FRF(3, {0: 1, 1: -3}, {(2, 2): 1})
@@ -37,7 +68,7 @@ class TestConstruction:
 
 class TestArithmetic:
     def test_add_zero(self):
-        r = FRF.geometric_factor(5, -1, 2)
+        r = geometric_factor(5, -1, 2)
         assert r + FRF.zero(5) == r
 
     def test_telescoping(self):
@@ -55,7 +86,7 @@ class TestArithmetic:
             {(-3, 8): 1, (-2, 6): 1},
         )
         total = term + term + term
-        expected = term.scaled(3)
+        expected = scaled(term, 3)
         assert total == expected
         assert dict(total.den) == {(-3, 8): 1, (-2, 6): 1}
 
@@ -63,8 +94,8 @@ class TestArithmetic:
         # (1-p^{-1})^2 * [p^{-1}/(1-p^{-1})] * [p^{-3}t^8/(1-p^{-3}t^8)]
         p = 5
         l_part = F(p, {0: Fraction((p - 1) ** 2, p**2)})
-        e_ray = FRF.geometric_factor(p, -1, 0)
-        p1_ray = FRF.geometric_factor(p, -3, 8)
+        e_ray = geometric_factor(p, -1, 0)
+        p1_ray = geometric_factor(p, -3, 8)
         product = l_part * e_ray * p1_ray
         expected = FRF(p, {8: Fraction(p - 1, p) * Fraction(1, p) * Fraction(1, p**3)}, {(-3, 8): 1})
         assert product == expected

@@ -17,6 +17,8 @@ from igusa.zeta import (
     zeta_origin,
 )
 
+from test_fan import contains_relint
+
 V2 = ["x", "y"]
 V3 = ["x", "y", "z"]
 V4 = ["x", "y", "z", "w"]
@@ -75,7 +77,7 @@ def _flipped_diagonals(s):
         assert len(wall) == 2
         alt_diag = tuple(sorted(members - set(wall)))
         # the flipped diagonal must cut through the class interior
-        assert quad.contains_relint(Cone(alt_diag).interior_point())
+        assert contains_relint(quad, Cone(alt_diag).interior_point())
         alt_parts += [Cone(tuple(sorted(alt_diag + (w,)))) for w in wall] + [Cone(alt_diag)]
         retiled.update(c.generators for c in pieces)
         retiled.add(wall)
