@@ -433,8 +433,13 @@ def report_json(report: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a bad argument is a config error (exit 1), not argparse's exit 2
+        raise ConfigError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="igusa", description=__doc__)
+    parser = _ArgumentParser(prog="igusa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for mode in MODES:
         p = sub.add_parser(mode, help=f"run in {mode} mode")
@@ -446,8 +451,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
     try:
+        args = build_arg_parser().parse_args(argv)
         try:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()

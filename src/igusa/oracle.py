@@ -237,8 +237,6 @@ def coeff_extract(sys: PolySystem, ctx: PrimeContext, k: int, chi: MultChar, bud
     head variety, weighted by chi of the angular component of f_l."""
     if chi.p != ctx.p:
         raise ValueError("character prime differs from context prime")
-    if chi.conductor > 1:
-        raise ValueError("conductor > 1 characters are not supported")
     if k < 0:
         raise ValueError(f"coefficient index {k} is negative")
     counts = _ac_counts(sys, ctx, k, budget)

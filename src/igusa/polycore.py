@@ -1,10 +1,11 @@
 """Integer-coefficient multivariate polynomials indexed by exponent vectors.
 
 Supports the handful of operations the zeta machinery needs: parsing from a
-small ASCII grammar, face functions with respect to a weight vector,
-evaluation over residue rings (one point at a time, or exactly in int64 over
-whole grids of points), formal partial derivatives, and the convenience
-test.  There is deliberately no general polynomial arithmetic.
+small ASCII grammar (the regexes ``_TERM_RE`` and ``_FACTOR_RE`` are the
+grammar), face functions with respect to a weight vector, evaluation over
+residue rings (one point at a time, or exactly in int64 over whole grids of
+points), formal partial derivatives, and the convenience test.  There is
+deliberately no general polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -155,42 +156,26 @@ def primitive_root(p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
-#
-# poly   := term (("+"|"-") term)* | "-" term (("+"|"-") term)*
-# term   := [integer "*"?] factor ("*" factor)*
-# factor := var ["^" natural]
+# Parsing.  These two regexes are the grammar.  Terms are separated by "+" or
+# "-" (the first term may also carry one); a term is an optional natural
+# coefficient with an optional "*", then one or more factors name[^natural]
+# joined by "*".  Blanks may separate any two tokens.
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^]))")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise PolynomialSyntaxError(f"unexpected character {text[bad_at]!r}", bad_at)
-        if m.group(1) is not None:
-            tokens.append(("int", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
-        else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
-    return tokens
+_FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?")
+_TERM_RE = re.compile(
+    rf"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?"
+    rf"(?P<factors>{_FACTOR_RE.pattern}(?:\s*\*\s*{_FACTOR_RE.pattern})*)\s*"
+)
 
 
 def parse_polynomial(text: str, variables) -> IntPolynomial:
-    """Parse the ASCII grammar above into an IntPolynomial.
+    """Parse the grammar above into an IntPolynomial.
 
     ``variables`` fixes the coordinate order of the exponent vectors.
     Like terms are combined; exact cancellation yields the zero polynomial.
+    A rejection's position is that of the unknown variable's name, or of
+    the first non-blank character of the first term that does not match.
     """
     variables = list(variables)
     n = len(variables)
@@ -199,71 +184,21 @@ def parse_polynomial(text: str, variables) -> IntPolynomial:
     var_index = {v: i for i, v in enumerate(variables)}
     if len(var_index) != n:
         raise ValueError("duplicate variable names")
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PolynomialSyntaxError("empty polynomial", 0)
-
     terms: dict[Exponent, int] = {}
-    i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else ("end", "", len(text))
-
-    while True:
-        sign = 1
-        kind, val, pos = peek()
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            i += 1
-        kind, val, pos = peek()
-        coeff = 1
+    pos = 0
+    while pos == 0 or pos < len(text):
+        term = _TERM_RE.match(text, pos)
+        if term is None or (pos and not term["sign"]):
+            raise PolynomialSyntaxError("expected a term such as '-3*x^2*y'", len(text) - len(text[pos:].lstrip()))
         expo = [0] * n
-        saw_factor = False
-        if kind == "int":
-            coeff = int(val)
-            i += 1
-            kind, val, pos = peek()
-            if kind == "op" and val == "*":
-                i += 1
-                kind, val, pos = peek()
-        # factor ("*" factor)*
-        while True:
-            kind, val, pos = peek()
-            if kind != "name":
-                break
-            if val not in var_index:
-                raise PolynomialSyntaxError(f"unknown variable {val!r}", pos)
-            j = var_index[val]
-            i += 1
-            power = 1
-            kind2, val2, pos2 = peek()
-            if kind2 == "op" and val2 == "^":
-                i += 1
-                kind3, val3, pos3 = peek()
-                if kind3 != "int":
-                    raise PolynomialSyntaxError("expected a natural number after '^'", pos3)
-                power = int(val3)
-                i += 1
-            expo[j] += power
-            saw_factor = True
-            kind2, val2, pos2 = peek()
-            if kind2 == "op" and val2 == "*":
-                i += 1
-                continue
-            break
-        if not saw_factor:
-            # The grammar requires at least one variable factor per term, so
-            # bare integer constants are rejected here.
-            raise PolynomialSyntaxError("expected a variable factor", pos)
+        for factor in _FACTOR_RE.finditer(text, term.start("factors"), term.end("factors")):
+            name, power = factor.groups()
+            if name not in var_index:
+                raise PolynomialSyntaxError(f"unknown variable {name!r}", factor.start())
+            expo[var_index[name]] += int(power or 1)
         key = tuple(expo)
-        terms[key] = terms.get(key, 0) + sign * coeff
-        kind, val, pos = peek()
-        if kind == "end":
-            break
-        if kind == "op" and val in "+-":
-            continue
-        raise PolynomialSyntaxError(f"unexpected token {val!r}", pos)
-
+        terms[key] = terms.get(key, 0) + (-1 if term["sign"] == "-" else 1) * int(term["coeff"] or 1)
+        pos = term.end()
     return IntPolynomial(n, terms)
 
 

@@ -17,6 +17,12 @@ from math import gcd
 Factor = tuple[int, int]  # (a, b) encodes 1 - q^a t^b
 
 
+def _integer(x, what: str) -> int:
+    if int(x) != x:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return int(x)
+
+
 def qpow(q: int, a: int) -> Fraction:
     return Fraction(q**a) if a >= 0 else Fraction(1, q**(-a))
 
@@ -40,15 +46,17 @@ class FactoredRationalFunction:
         self.num: dict[int, Fraction] = {}
         if num:
             for k, c in num.items():
+                k = _integer(k, "power of t")
                 if k < 0:
                     raise ValueError(f"negative power t^{k}: the numerator must be a polynomial")
                 c = Fraction(c)
                 if c != 0:
-                    self.num[int(k)] = c
+                    self.num[k] = c
         self.den: Counter[Factor] = Counter()
         if den:
             for factor, mult in den.items():
-                a, b = int(factor[0]), int(factor[1])
+                a, b = (_integer(e, "factor exponent") for e in factor)
+                mult = _integer(mult, "multiplicity")
                 if mult < 0:
                     raise ValueError("negative factor multiplicity")
                 if b < 0:
@@ -57,8 +65,7 @@ class FactoredRationalFunction:
                     scalar = 1 - qpow(q, a)
                     if scalar == 0:
                         raise ValueError("factor (1 - q^0 t^0) is zero")
-                    for _ in range(mult):
-                        self.num = {k: c / scalar for k, c in self.num.items()}
+                    self.num = {k: c / scalar**mult for k, c in self.num.items()}
                 else:
                     self.den[(a, b)] += mult
         if not self.num:

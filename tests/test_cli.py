@@ -462,6 +462,33 @@ class TestMain:
         assert detail["error"] == "PolynomialSyntaxError"
         assert "position" in detail
 
+    def test_dangling_star_is_parse_error_exit_1(self, tmp_path, capsys):
+        # A trailing "*" is not dropped: the job is refused, not run on x^2 + y^2.
+        code = main(["check", "--input", _write(tmp_path, JOB_72.replace("x^2 + y^2", "x^2 + y^2*"))])
+        assert code == 1
+        detail = json.loads(capsys.readouterr().err)
+        assert detail["error"] == "PolynomialSyntaxError" and detail["position"] == 9
+
+    @pytest.mark.parametrize(
+        "args",
+        [["check", "--input", "{job}", "--prime", "abc"], ["zeta", "--input", "{job}", "--depth", "1.5"], [],
+         ["bogus", "--input", "{job}"], ["zeta"], ["zeta", "--input", "{job}", "--colour"]],
+        ids=["prime-abc", "depth-1.5", "no-command", "unknown-command", "no-input", "unknown-flag"],
+    )
+    def test_bad_command_line_exit_1(self, tmp_path, capsys, args):
+        # Exit 2 means "hypothesis rejected"; a bad argument is a config error.
+        path = _write(tmp_path, JOB_72)
+        assert main([a.format(job=path) for a in args]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("args", [["--help"], ["zeta", "--help"]])
+    def test_help_exit_0(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: igusa")
+
     def test_cli_hypothesis_exit_2(self, tmp_path):
         path = _write(tmp_path, JOB_DEGENERATE)
         code = main(["check", "--input", path])

@@ -1,3 +1,5 @@
+import random
+import re
 import time
 from itertools import product
 
@@ -51,8 +53,11 @@ class TestParse:
         assert f.terms == {(2, 1): 1}
 
     def test_unknown_variable(self):
-        with pytest.raises(PolynomialSyntaxError):
-            parse_polynomial("x + w", V2)
+        # The error names the variable and points at it.
+        for text, position in (("x + w", 4), ("x + 2*w^3", 6), ("w + x^", 0)):
+            with pytest.raises(PolynomialSyntaxError, match="unknown variable 'w'") as err:
+                parse_polynomial(text, V2)
+            assert err.value.position == position
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(PolynomialSyntaxError) as err:
@@ -77,6 +82,152 @@ class TestParse:
     @pytest.mark.parametrize("text", EXPLICIT)
     def test_explicit_terms(self, text):
         assert parse_polynomial(text, V3) == IntPolynomial(3, self.EXPLICIT[text])
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("x*", 1), ("x + y*", 5), ("3*x*y*", 5), ("x^2 + y^2*", 9), ("x*+y", 1), ("x y", 2), ("  5", 2),
+         ("", 0), ("   ", 3), ("x + (y)", 2), ("x^-2", 1)],
+    )
+    def test_rejection_position_is_first_unreadable_term(self, text, position):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text, V2)
+        assert err.value.position == position
+
+
+# The tokenizer and recursive-descent loop that the regex grammar replaced,
+# kept as the reference for the differential test below.  It reads a "*"
+# that no factor follows ("x*", "x*+y") as if it were absent.
+
+_REF_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^]))")
+
+
+def _reference_tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            bad_at = len(text) - len(stripped)
+            raise PolynomialSyntaxError(f"unexpected character {text[bad_at]!r}", bad_at)
+        if m.group(1) is not None:
+            tokens.append(("int", m.group(1), m.start(1)))
+        elif m.group(2) is not None:
+            tokens.append(("name", m.group(2), m.start(2)))
+        else:
+            tokens.append(("op", m.group(3), m.start(3)))
+        pos = m.end()
+    return tokens
+
+
+def _reference_parse(text, variables):
+    variables = list(variables)
+    n = len(variables)
+    var_index = {v: i for i, v in enumerate(variables)}
+    tokens = _reference_tokenize(text)
+    if not tokens:
+        raise PolynomialSyntaxError("empty polynomial", 0)
+    terms = {}
+    i = 0
+
+    def peek():
+        return tokens[i] if i < len(tokens) else ("end", "", len(text))
+
+    while True:
+        sign = 1
+        kind, val, pos = peek()
+        if kind == "op" and val in "+-":
+            sign = -1 if val == "-" else 1
+            i += 1
+        kind, val, pos = peek()
+        coeff = 1
+        expo = [0] * n
+        saw_factor = False
+        if kind == "int":
+            coeff = int(val)
+            i += 1
+            kind, val, pos = peek()
+            if kind == "op" and val == "*":
+                i += 1
+                kind, val, pos = peek()
+        while True:
+            kind, val, pos = peek()
+            if kind != "name":
+                break
+            if val not in var_index:
+                raise PolynomialSyntaxError(f"unknown variable {val!r}", pos)
+            j = var_index[val]
+            i += 1
+            power = 1
+            kind2, val2, pos2 = peek()
+            if kind2 == "op" and val2 == "^":
+                i += 1
+                kind3, val3, pos3 = peek()
+                if kind3 != "int":
+                    raise PolynomialSyntaxError("expected a natural number after '^'", pos3)
+                power = int(val3)
+                i += 1
+            expo[j] += power
+            saw_factor = True
+            kind2, val2, pos2 = peek()
+            if kind2 == "op" and val2 == "*":
+                i += 1
+                continue
+            break
+        if not saw_factor:
+            raise PolynomialSyntaxError("expected a variable factor", pos)
+        key = tuple(expo)
+        terms[key] = terms.get(key, 0) + sign * coeff
+        kind, val, pos = peek()
+        if kind == "end":
+            break
+        if kind == "op" and val in "+-":
+            continue
+        raise PolynomialSyntaxError(f"unexpected token {val!r}", pos)
+
+    return IntPolynomial(n, terms)
+
+
+FUZZ_TOKENS = ["x", "y", "z", "x2", "w", "2", "13", "0", "+", "-", "*", "^", "(", "x^3", "y^10", "3*", "-x", "^2"]
+FUZZ_VARS = ["x", "y", "z", "x2"]
+DANGLING_STAR = re.compile(r"\*(?!\s*[A-Za-z_])")
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text, FUZZ_VARS)
+    except PolynomialSyntaxError as exc:
+        return exc
+
+
+class TestParseMatchesReference:
+    def test_seeded_random_strings(self):
+        rng = random.Random(20261019)
+        accepted = dangling_only = 0
+        for _ in range(25_000):
+            text = rng.choice(("", " ")) + "".join(
+                rng.choice(FUZZ_TOKENS) + rng.choice(("", "", " ")) for _ in range(rng.randint(1, 7))
+            )
+            new, ref = _parse_outcome(parse_polynomial, text), _parse_outcome(_reference_parse, text)
+            if isinstance(new, PolynomialSyntaxError):
+                assert 0 <= new.position <= len(text), text
+            if DANGLING_STAR.search(text):
+                assert isinstance(new, PolynomialSyntaxError), text
+                dangling_only += isinstance(ref, IntPolynomial)
+            elif isinstance(new, IntPolynomial):
+                assert isinstance(ref, IntPolynomial) and new.terms == ref.terms, text
+                accepted += 1
+            else:
+                assert isinstance(ref, PolynomialSyntaxError), text
+        # Both outcomes are well represented, so the comparison is not vacuous.
+        assert accepted > 1000 and dangling_only > 100
+
+    @pytest.mark.parametrize("text", ["x*", "x + y*", "3*x*y*", "x*+y", "x^2 + y^2*"])
+    def test_dangling_star_only_reference_accepts(self, text):
+        assert isinstance(_parse_outcome(_reference_parse, text), IntPolynomial)
+        assert isinstance(_parse_outcome(parse_polynomial, text), PolynomialSyntaxError)
 
 
 class TestFaceFunction:

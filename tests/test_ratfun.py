@@ -54,6 +54,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FRF(5, num, {(1, 1): 1})
 
+    @pytest.mark.parametrize(
+        "num, den",
+        [({1.5: 1}, None), ({1: 1}, {(1.7, 1.2): 1}), ({1: 1}, {(1, 1.5): 1}), ({1: 1}, {(1, 1): 1.5}),
+         ({Fraction(3, 2): 1}, None)],
+    )
+    def test_non_integer_power_rejected(self, num, den):
+        # t^1.5, 1 - q^1.7 t^1.2 and (1 - q t)^1.5 have no meaning here; they
+        # must not be truncated to integers.
+        with pytest.raises(ValueError, match="not an integer"):
+            FRF(5, num, den)
+
+    def test_integral_values_of_other_types_accepted(self):
+        assert FRF(5, {Fraction(2): 1}, {(1, 2.0): Fraction(1)}) == FRF(5, {2: 1}, {(1, 2): 1})
+
     def test_shift_below_t0_rejected(self):
         r = FRF(5, {0: 1}, {(1, 1): 1})
         with pytest.raises(ValueError):
