@@ -156,13 +156,14 @@ def primitive_root(p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parsing.  These two regexes are the grammar.  Terms are separated by "+" or
+# Parsing.  These regexes are the grammar.  Terms are separated by "+" or
 # "-" (the first term may also carry one); a term is an optional natural
 # coefficient with an optional "*", then one or more factors name[^natural]
 # joined by "*".  Blanks may separate any two tokens.
 # ---------------------------------------------------------------------------
 
-_FACTOR_RE = re.compile(r"([A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(\d+))?")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_FACTOR_RE = re.compile(rf"({_NAME_RE.pattern})(?:\s*\^\s*(\d+))?")
 _TERM_RE = re.compile(
     rf"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?"
     rf"(?P<factors>{_FACTOR_RE.pattern}(?:\s*\*\s*{_FACTOR_RE.pattern})*)\s*"
@@ -184,6 +185,9 @@ def parse_polynomial(text: str, variables) -> IntPolynomial:
     var_index = {v: i for i, v in enumerate(variables)}
     if len(var_index) != n:
         raise ValueError("duplicate variable names")
+    for v in variables:
+        if not _NAME_RE.fullmatch(v):
+            raise ValueError(f"variable name {v!r} is not a name the grammar can read")
     terms: dict[Exponent, int] = {}
     pos = 0
     while pos == 0 or pos < len(text):

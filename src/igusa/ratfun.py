@@ -3,8 +3,11 @@
 Values are kept as numerator polynomials over Q together with a multiset of
 denominator factors (1 - q^a t^b), b >= 1.  Factors with b = 0 are plain
 nonzero rationals and are folded into the numerator on construction.  A
-denominator factor is cancelled only when it divides the numerator exactly;
-everything is arbitrary-precision, no floating point.
+denominator factor is cancelled when it divides the numerator exactly.
+Otherwise, for each k > 1 dividing gcd(a, b), largest first, with
+x = q^(a/k) t^(b/k), the factor 1 - x^k is replaced by 1 - x when its
+cofactor 1 + x + ... + x^(k-1) divides the numerator; this repeats until
+nothing divides.  Everything is arbitrary-precision, no floating point.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Factor = tuple[int, int]  # (a, b) encodes 1 - q^a t^b
 
@@ -43,34 +46,30 @@ class FactoredRationalFunction:
 
     def __init__(self, q: int, num: dict[int, Fraction] | None = None, den: dict[Factor, int] | None = None):
         self.q = q
-        self.num: dict[int, Fraction] = {}
-        if num:
-            for k, c in num.items():
-                k = _integer(k, "power of t")
-                if k < 0:
-                    raise ValueError(f"negative power t^{k}: the numerator must be a polynomial")
-                c = Fraction(c)
-                if c != 0:
-                    self.num[k] = c
-        self.den: Counter[Factor] = Counter()
-        if den:
-            for factor, mult in den.items():
-                a, b = (_integer(e, "factor exponent") for e in factor)
-                mult = _integer(mult, "multiplicity")
-                if mult < 0:
-                    raise ValueError("negative factor multiplicity")
-                if b < 0:
-                    raise ValueError("factor needs b >= 0")
-                if b == 0:
-                    scalar = 1 - qpow(q, a)
-                    if scalar == 0:
-                        raise ValueError("factor (1 - q^0 t^0) is zero")
-                    self.num = {k: c / scalar**mult for k, c in self.num.items()}
-                else:
-                    self.den[(a, b)] += mult
-        if not self.num:
-            self.den = Counter()
-        self._cancel()
+        clean: dict[int, Fraction] = {}
+        for k, c in (num or {}).items():
+            k = _integer(k, "power of t")
+            if k < 0:
+                raise ValueError(f"negative power t^{k}: the numerator must be a polynomial")
+            c = Fraction(c)
+            if c != 0:
+                clean[k] = c
+        factors: Counter[Factor] = Counter()
+        for factor, mult in (den or {}).items():
+            a, b = (_integer(e, "factor exponent") for e in factor)
+            mult = _integer(mult, "multiplicity")
+            if mult < 0:
+                raise ValueError("negative factor multiplicity")
+            if b < 0:
+                raise ValueError("factor needs b >= 0")
+            if b == 0:
+                scalar = 1 - qpow(q, a)
+                if scalar == 0:
+                    raise ValueError("factor (1 - q^0 t^0) is zero")
+                clean = {k: c / scalar**mult for k, c in clean.items()}
+            else:
+                factors[(a, b)] += mult
+        self._reduce(clean, factors)
 
     # -- constructors -------------------------------------------------------
 
@@ -82,76 +81,72 @@ class FactoredRationalFunction:
     def one(q: int) -> "FactoredRationalFunction":
         return FactoredRationalFunction(q, {0: Fraction(1)})
 
+    @staticmethod
+    def sum(q: int, terms) -> "FactoredRationalFunction":
+        """All terms over their least common denominator, cancelled once."""
+        terms = list(terms)
+        if any(r.q != q for r in terms):
+            raise ValueError("mixed primes in rational function arithmetic")
+        common: Counter[Factor] = Counter()
+        for r in terms:
+            common |= r.den
+        num: dict[int, Fraction] = {}
+        for r in terms:
+            num = _poly_add(num, _times_factors(r.num, common - r.den, q))
+        return FactoredRationalFunction(q)._reduce(num, common)
+
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.num
 
     def copy(self) -> "FactoredRationalFunction":
-        out = FactoredRationalFunction(self.q)
-        out.num = dict(self.num)
-        out.den = Counter(self.den)
-        return out
+        return FactoredRationalFunction(self.q)._reduce(dict(self.num), self.den)
 
     def expanded(self) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
         """(numerator, expanded denominator polynomial) -- for cross checks."""
-        den_poly = {0: Fraction(1)}
-        for (a, b), mult in sorted(self.den.items()):
-            for _ in range(mult):
-                den_poly = _poly_mul(den_poly, {0: Fraction(1), b: -qpow(self.q, a)})
-        return dict(self.num), den_poly
+        return dict(self.num), _times_factors({0: Fraction(1)}, self.den, self.q)
 
     # -- canonical form -----------------------------------------------------
 
-    def _cancel(self):
-        if not self.num:
-            self.den = Counter()
-            return
-        for factor in sorted(self.den):
-            while self.den[factor] > 0:
-                quotient = _divide_by_factor(self.num, factor, self.q)
-                if quotient is None:
+    def _reduce(self, num: dict[int, Fraction], den: Counter) -> "FactoredRationalFunction":
+        """Set the canonical form of num / den (the module docstring's rule)."""
+        den = +den if num else Counter()
+        todo = sorted(den, reverse=True)
+        while todo:
+            factor = todo.pop()
+            while den[factor] and (quotient := _divide_by_factor(num, factor, self.q)) is not None:
+                num, den[factor] = quotient, den[factor] - 1
+            g = gcd(*factor)
+            for k in range(g, 1, -1):
+                if g % k or not den[factor]:
+                    continue
+                x = (factor[0] // k, factor[1] // k)
+                # the cofactor divides num iff (1 - x) num is divisible by 1 - x^k
+                quotient = _divide_by_factor(_times_factors(num, {x: 1}, self.q), factor, self.q)
+                if quotient is not None:
+                    num, den[factor] = quotient, den[factor] - 1
+                    den[x] += 1
+                    todo += [x, factor]
                     break
-                self.num = quotient
-                self.den[factor] -= 1
-        self.den = Counter({f: m for f, m in self.den.items() if m > 0})
+        self.num, self.den = num, +den
+        return self
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _require_same_q(self, other: "FactoredRationalFunction"):
-        if self.q != other.q:
-            raise ValueError("mixed primes in rational function arithmetic")
-
     def __add__(self, other: "FactoredRationalFunction") -> "FactoredRationalFunction":
-        self._require_same_q(other)
-        common = Counter()
-        for f in set(self.den) | set(other.den):
-            common[f] = max(self.den.get(f, 0), other.den.get(f, 0))
-        num = _poly_add(
-            _scale_to_common(self.num, self.den, common, self.q),
-            _scale_to_common(other.num, other.den, common, self.q),
-        )
-        out = FactoredRationalFunction(self.q)
-        out.num = num
-        out.den = Counter({f: m for f, m in common.items() if m > 0}) if num else Counter()
-        out._cancel()
-        return out
+        return FactoredRationalFunction.sum(self.q, (self, other))
 
     def __neg__(self) -> "FactoredRationalFunction":
-        out = self.copy()
-        out.num = {k: -c for k, c in out.num.items()}
-        return out
+        return FactoredRationalFunction(self.q)._reduce({k: -c for k, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "FactoredRationalFunction") -> "FactoredRationalFunction":
         return self + (-other)
 
     def __mul__(self, other: "FactoredRationalFunction") -> "FactoredRationalFunction":
-        self._require_same_q(other)
-        out = FactoredRationalFunction(self.q)
-        out.num = _poly_mul(self.num, other.num)
-        out.den = (self.den + other.den) if out.num else Counter()
-        out._cancel()
-        return out
+        if self.q != other.q:
+            raise ValueError("mixed primes in rational function arithmetic")
+        return FactoredRationalFunction(self.q)._reduce(_poly_mul(self.num, other.num), self.den + other.den)
 
     def shifted(self, powers: int) -> "FactoredRationalFunction":
         """Multiply by t^powers; the numerator must stay a polynomial."""
@@ -186,50 +181,31 @@ class FactoredRationalFunction:
         the factors on the line; multiplicity counts factors with their
         multiset multiplicity (each vanishes simply at the real point).
         """
-        groups: dict[Fraction, list[tuple[Factor, int]]] = {}
+        lines: dict[Fraction, PoleLine] = {}
         for (a, b), mult in self.den.items():
-            groups.setdefault(Fraction(a, b), []).append(((a, b), mult))
-        lines = []
-        for re, factors in sorted(groups.items()):
-            period = 1
-            mult_total = 0
-            for (a, b), mult in factors:
-                period = period * b // gcd(period, b)
-                mult_total += mult
-            lines.append(PoleLine(re, period, mult_total))
-        return lines
+            line = lines.setdefault(Fraction(a, b), PoleLine(Fraction(a, b), 1, 0))
+            line.period, line.multiplicity = lcm(line.period, b), line.multiplicity + mult
+        return [lines[re] for re in sorted(lines)]
 
     # -- rendering ----------------------------------------------------------
 
     def t_form(self) -> str:
-        if self.is_zero():
-            return "0"
-        num = " + ".join(
-            f"({c!s})*t^{k}" if k else f"({c!s})"
-            for k, c in sorted(self.num.items())
-        )
-        if not self.den:
-            return num
-        den = "*".join(
-            f"(1 - {_q_power_str(self.q, a)}*t^{b})" + (f"^{m}" if m > 1 else "")
-            for (a, b), m in sorted(self.den.items())
-        )
-        return f"[{num}] / [{den}]"
+        q = self.q
+        return self._render(lambda k: f"t^{k}", lambda a, b: f"1 - {q if a == 1 else f'{q}^{a}'}*t^{b}")
 
     def s_form(self) -> str:
         """Rendering with t^b replaced by p^{-bs}, matching table style."""
+        q = self.q
+        return self._render(lambda k: f"{q}^{{-{k}s}}", lambda a, b: f"1 - {q}^{{{a} - {b}s}}")
+
+    def _render(self, power, factor) -> str:
+        """[numerator] / [denominator], writing t^k as power(k) and 1 - q^a t^b as factor(a, b)."""
         if self.is_zero():
             return "0"
-        num = " + ".join(
-            f"({c!s})*{self.q}^{{-{k}s}}" if k else f"({c!s})"
-            for k, c in sorted(self.num.items())
-        )
+        num = " + ".join(f"({c!s})*{power(k)}" if k else f"({c!s})" for k, c in sorted(self.num.items()))
         if not self.den:
             return num
-        den = "*".join(
-            f"(1 - {self.q}^{{{a} - {b}s}})" + (f"^{m}" if m > 1 else "")
-            for (a, b), m in sorted(self.den.items())
-        )
+        den = "*".join(f"({factor(a, b)})" + (f"^{m}" if m > 1 else "") for (a, b), m in sorted(self.den.items()))
         return f"[{num}] / [{den}]"
 
     def __repr__(self) -> str:
@@ -263,14 +239,12 @@ def _poly_mul(p1: dict[int, Fraction], p2: dict[int, Fraction]) -> dict[int, Fra
     return out
 
 
-def _scale_to_common(num, den: Counter, common: Counter, q: int) -> dict[int, Fraction]:
-    out = dict(num)
-    for factor, mult in common.items():
-        missing = mult - den.get(factor, 0)
-        a, b = factor
-        for _ in range(missing):
-            out = _poly_mul(out, {0: Fraction(1), b: -qpow(q, a)})
-    return out
+def _times_factors(poly: dict[int, Fraction], factors: Counter, q: int) -> dict[int, Fraction]:
+    """poly * prod (1 - q^a t^b)^mult, multiplied in one binomial at a time."""
+    for (a, b), mult in factors.items():
+        for _ in range(mult):
+            poly = _poly_mul(poly, {0: Fraction(1), b: -qpow(q, a)})
+    return poly
 
 
 def _divide_by_factor(num: dict[int, Fraction], factor: Factor, q: int) -> dict[int, Fraction] | None:
@@ -290,7 +264,3 @@ def _divide_by_factor(num: dict[int, Fraction], factor: Factor, q: int) -> dict[
                 return None
             quo[k] = c
     return quo
-
-
-def _q_power_str(q: int, a: int) -> str:
-    return f"{q}^{a}" if a != 1 else str(q)

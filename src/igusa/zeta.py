@@ -182,21 +182,17 @@ def _assemble(sys: PolySystem, ctx: PrimeContext, mode: str, budget: int) -> Zet
     tri = fan_mod.dual_subdivision(sys).triangulation
 
     contributions: list[ConeContribution] = []
-    total = FactoredRationalFunction.zero(ctx.q)
     for cone in tri.cones:
         b = barycenter(cone)
         if at_origin and not all(x > 0 for x in b):
             continue
         L = compute_L(sys, ctx, b, budget)
         S = compute_S(cone, sys, ctx)
-        product = L * S
-        contributions.append(ConeContribution(cone, L, S, product))
-        total = total + product
+        contributions.append(ConeContribution(cone, L, S, L * S))
 
-    L0 = None
-    if not at_origin:
-        L0 = compute_L(sys, ctx, (0,) * sys.n, budget)
-        total = total + L0
+    L0 = None if at_origin else compute_L(sys, ctx, (0,) * sys.n, budget)
+    terms = [c.product for c in contributions] + ([] if L0 is None else [L0])
+    total = FactoredRationalFunction.sum(ctx.q, terms)
 
     cands = candidate_poles(sys)
     actual = total.poles()

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from igusa.cli import main, parse_config, report_json, run
+from igusa.newton import MAX_DIMENSION
 
 JOB_72 = """\
 vars = x, y
@@ -52,6 +53,28 @@ budget = 100
 
 [polys]
 x^6 - 2*x^3*y^2 + y^4
+"""
+
+# Two convenient systems at p = 11 whose summed zeta has a numerator sharing
+# the cyclotomic cofactor of a denominator factor: 1 + 11^-1 t of
+# 1 - 11^-2 t^2 (zeta), and 1 + 11^-1 t + 11^-2 t^2 of 1 - 11^-3 t^3
+# (zeta0).  Kept, the factor would report period 2 or 3 on the line -1.
+JOB_COFACTOR_ZETA = """\
+vars = x, y, z
+prime = 11
+
+[polys]
+4*y*z^2 + 2*y^3 + 3*z^2 + 2*x^2
+4*x^3 + z + 3*y + 2*x^2*y^2
+"""
+
+JOB_COFACTOR_ZETA0 = """\
+vars = x, y, z
+prime = 11
+
+[polys]
+4*x^3*z^2 + z + 2*y + 4*x^2
+2*z^4 + 2*x^2*y*z + 3*x^3 + y^3 + 2*x*y*z^2 + 2*x^3*z
 """
 
 JOB_BAD_POLY = """\
@@ -553,11 +576,39 @@ class TestMain:
         assert detail["error"] == "ConfigError"
         assert "must be at least 1" in detail["message"]
 
-    @pytest.mark.parametrize("job", [JOB_ZERO_POLY, JOB_SEVEN_VARS], ids=["zero-poly", "seven-vars"])
-    def test_unsupported_system_exit_1(self, tmp_path, capsys, job):
+    @pytest.mark.parametrize(
+        "job, message",
+        [(JOB_ZERO_POLY, "polynomial 0 is zero"), (JOB_SEVEN_VARS, f"7 variables exceed the supported cap {MAX_DIMENSION}")],
+        ids=["zero-poly", "seven-vars"],
+    )
+    def test_unsupported_system_exit_1(self, tmp_path, capsys, job, message):
         code = main(["check", "--input", _write(tmp_path, job)])
         assert code == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        detail = json.loads(capsys.readouterr().err)
+        assert detail["error"] == "ConfigError" and detail["message"] == message
+
+    @pytest.mark.parametrize("names, bad", [("x, y z", "y z"), ("x, 2y", "2y"), ("x, y^2", "y^2")])
+    def test_unreadable_variable_name_exit_1(self, tmp_path, capsys, names, bad):
+        # Named at the variable list, not as an unknown variable inside a polynomial.
+        text = JOB_72.replace("vars = x, y", f"vars = {names}")
+        assert main(["check", "--input", _write(tmp_path, text)]) == 1
+        detail = json.loads(capsys.readouterr().err)
+        assert detail["error"] == "ConfigError" and repr(bad) in detail["message"]
+
+    @pytest.mark.parametrize(
+        "job, mode, value, lines",
+        [(JOB_COFACTOR_ZETA, "zeta", "[(128/121) + (84/1331)*t^1 + (8/1331)*t^2] / [(1 - 11^-1*t^1)^2]",
+          [{"re": "-1", "period": 1, "multiplicity": 2}]),
+         (JOB_COFACTOR_ZETA0, "zeta0", "[(10/1331)*t^3 + (-10/161051)*t^4] / [(1 - 11^-2*t^3)*(1 - 11^-1*t^1)]",
+          [{"re": "-1", "period": 1, "multiplicity": 1}, {"re": "-2/3", "period": 3, "multiplicity": 1}])],
+        ids=["zeta", "zeta0"],
+    )
+    def test_cyclotomic_cofactor_cancelled(self, tmp_path, job, mode, value, lines):
+        out_json = tmp_path / "report.json"
+        assert main([mode, "--input", _write(tmp_path, job), "--json", str(out_json)]) == 0
+        blob = json.loads(out_json.read_text())
+        assert blob["zeta"]["value"]["t_form"] == value
+        assert blob["poles"]["actual"] == lines
 
     def test_17_facet_normals_all_exit_0(self, tmp_path):
         out_json = tmp_path / "report.json"

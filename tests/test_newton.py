@@ -5,6 +5,7 @@ import pytest
 
 from igusa import linalg
 from igusa.newton import (
+    MAX_DIMENSION,
     Facet,
     build_polyhedron,
     cone_facet_normals,
@@ -80,6 +81,12 @@ class TestBuild:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             build_polyhedron(IntPolynomial(2))
+
+    def test_dimension_cap(self):
+        assert MAX_DIMENSION == 6
+        polyhedron_from_points(6, [tuple(int(i == j) for j in range(6)) for i in range(6)])
+        with pytest.raises(ValueError, match="dimension 7 exceeds the supported cap 6"):
+            polyhedron_from_points(7, [tuple(int(i == j) for j in range(7)) for i in range(7)])
 
 
 class TestSupportValue:

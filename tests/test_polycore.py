@@ -52,6 +52,11 @@ class TestParse:
         f = parse_polynomial("x*x*y", V2)
         assert f.terms == {(2, 1): 1}
 
+    @pytest.mark.parametrize("name", ["y z", "2y", "y^2", "", "x-1", "é"])
+    def test_unreadable_variable_name_rejected(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"variable name {name!r} is not a name the grammar can read")):
+            parse_polynomial("x", ["x", name])
+
     def test_unknown_variable(self):
         # The error names the variable and points at it.
         for text, position in (("x + w", 4), ("x + 2*w^3", 6), ("w + x^", 0)):

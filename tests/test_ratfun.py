@@ -1,9 +1,11 @@
+import functools
+import random
 from fractions import Fraction
 
 import pytest
 
 from igusa.ratfun import FactoredRationalFunction as FRF
-from igusa.ratfun import qpow
+from igusa.ratfun import _poly_add, _poly_mul, qpow
 
 
 def F(q, num, den=None):
@@ -182,3 +184,68 @@ class TestPoles:
         assert [(l.re, l.period, l.multiplicity) for l in same.poles()] == [
             (l.re, l.period, l.multiplicity) for l in padded.poles()
         ]
+
+
+
+def _random_poly(rng) -> dict[int, Fraction]:
+    return {rng.randint(0, 4): Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))}
+
+
+def _coprime(p1, p2) -> bool:
+    """Whether two nonzero polynomials (dict power -> Fraction) have a constant gcd."""
+    a, b = ([p.get(k, Fraction(0)) for k in range(max(p) + 1)] for p in (p1, p2))
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        while len(a) >= len(b):  # a := a mod b
+            c, shift = a[-1] / b[-1], len(a) - len(b)
+            a = [x - c * b[i - shift] if i >= shift else x for i, x in enumerate(a)][:-1]
+        a, b = b, a
+    return len(a) == 1
+
+
+class TestReducedForm:
+    def test_partial_cofactor_cancelled(self):
+        # (1 + 3t) / (1 - 9t^2) = 1 / (1 - 3t)
+        r = FRF(3, {0: 1, 1: 3}, {(2, 2): 1})
+        assert (r.num, dict(r.den)) == ({0: 1}, {(1, 1): 1})
+        assert [(l.re, l.period) for l in r.poles()] == [(1, 1)]
+
+    def test_largest_cofactor_and_each_multiplicity(self):
+        x = Fraction(1, 5)  # x = 5^-1 t
+        # (1 + x + x^2 + x^3) / (1 - x^4) = 1 / (1 - x)
+        r = FRF(5, {0: 1, 1: x, 2: x**2, 3: x**3}, {(-4, 4): 1})
+        assert (r.num, dict(r.den)) == ({0: 1}, {(-1, 1): 1})
+        # (1 + x^2) / (1 - x^4) = 1 / (1 - x^2): only the k = 2 cofactor divides
+        r = FRF(5, {0: 1, 2: x**2}, {(-4, 4): 1})
+        assert (r.num, dict(r.den)) == ({0: 1}, {(-2, 2): 1})
+        # (1 + x)^2 / (1 - x^2)^2 = 1 / (1 - x)^2
+        r = FRF(5, {0: 1, 1: 2 * x, 2: x**2}, {(-2, 2): 2})
+        assert (r.num, dict(r.den)) == ({0: 1}, {(-1, 1): 2})
+
+    def test_sum_in_any_order(self):
+        # Pairs P / (1 - x^k) and (C R - P) / (1 - x^k), C the cofactor of
+        # 1 - x^k, sum to R / (1 - x); terms over 1 - x and over an unrelated
+        # factor are mixed in.  The one sum, and running sums, in several
+        # orders give the same num and den whenever the result is fully reduced.
+        rng = random.Random(20261019)
+        reduced = cancelled = 0
+        for _ in range(150):
+            q = rng.choice([3, 5, 7])
+            a, b, k = rng.randint(-3, 0), rng.randint(1, 2), rng.choice([2, 3])
+            power = (k * a, k * b)
+            cofactor = {i * b: qpow(q, i * a) for i in range(k)}
+            terms = [FRF(q, _random_poly(rng), {f: 1}) for f in ((a, b), (-1, 3))]
+            for _ in range(rng.randint(1, 2)):
+                p = _random_poly(rng)
+                rest = _poly_add(_poly_mul(cofactor, _random_poly(rng)), {e: -c for e, c in p.items()})
+                terms += [FRF(q, p, {power: 1}), FRF(q, rest, {power: 1})]
+            total = FRF.sum(q, terms)
+            if not total.num or not _coprime(*total.expanded()):
+                continue
+            reduced += 1
+            cancelled += power not in total.den
+            for order in [terms[::-1], *(rng.sample(terms, len(terms)) for _ in range(3))]:
+                for other in (FRF.sum(q, order), functools.reduce(FRF.__add__, order)):
+                    assert (other.num, other.den) == (total.num, total.den)
+        assert reduced >= 100 and cancelled >= 100
