@@ -70,20 +70,21 @@ class NondegCertificate:
     directions_checked: int = 0
 
 
-def _torus_slice(a, n: int, p: int) -> tuple[list[np.ndarray], int]:
+def _torus_slice(a, n: int, p: int) -> tuple[list, int]:
     """Coordinate axes of an orbit slice of (F_p^x)^n for direction a, and
     the number (p-1)/g of torus points each slice point stands for.
 
-    a = 0 gives the whole torus with weight 1.
+    a = 0 gives the whole torus with weight 1.  No axis is an array, so the
+    caller can check the size (p-1)^n / weight before any point exists.
     """
     a = [int(x) for x in a]
-    axes = [np.arange(1, p, dtype=np.int64)] * n
+    axes = [range(1, p)] * n
     c = math.gcd(*a)
     if c == 0:
         return axes, 1
     g, j = min((math.gcd(abs(x) // c, p - 1), j) for j, x in enumerate(a) if x)
-    zeta = primitive_root(p)
-    axes[j] = np.array([pow(zeta, k, p) for k in range(g)], dtype=np.int64)
+    zeta = primitive_root(p) if g > 1 else 1  # one coset, {1}: p - 1 is not factored
+    axes[j] = [pow(zeta, k, p) for k in range(g)]
     return axes, (p - 1) // g
 
 
@@ -157,7 +158,7 @@ def _scan(sys: PolySystem, a, p: int, budget: int, what: str) -> tuple[tuple[int
     caller that meets it.
     """
     axes, weight = _torus_slice(a, sys.n, p)
-    check_budget(math.prod(map(len, axes)), budget, what)
+    check_budget((p - 1) ** sys.n // weight, budget, what)
     faces = [face_function(f, a) for f in sys.polys]
     key = (p, _content(faces))
     if key not in sys.scans:

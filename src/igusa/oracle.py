@@ -13,9 +13,10 @@ m-1 zeros (level 1 is the whole p^n grid) and keeps those that still
 vanish.  That is the reduction map Z/p^m -> Z/p^{m-1}, not Hensel lifting:
 no smoothness is assumed and every residue that can vanish is tested.  The
 tree, with f_l mod p^m on each level, is walked once per system and prime
-and kept on the ``PolySystem``; every quantity of a job reads that walk.
-The enumeration budget counts the points each level actually tests, and is
-checked level by level on every call, whether the level is walked or kept.
+and kept on the ``PolySystem``.  N_m and E_m are read off a level only by
+``congruence_table`` and ``expsum_table``, angular components only by
+``_ac_counts``; every other quantity reads those three.  The budget counts
+the points each level tests, level by level on every call, walked or kept.
 
 Nothing in this module consults the explicit-formula engine (no Newton
 polyhedron, no fan): these are the quantities the engine is tested
@@ -75,11 +76,6 @@ def _head_levels(sys: PolySystem, p: int, top: int, budget: int, what: str) -> l
     return levels[: top + 1]
 
 
-def _check_unit(u: int, p: int):
-    if u % p == 0:
-        raise ValueError("u must be a unit")
-
-
 def _exp_value(fl: np.ndarray, modulus: int, u: int, norm: Fraction) -> complex:
     """norm * sum over residues r of c_r e^{2 pi i u r / modulus}, with c_r
     the number of points where f_l = r.
@@ -114,7 +110,7 @@ def count_Nm(sys: PolySystem, ctx: PrimeContext, m: int, budget: int = DEFAULT_E
     identity; without it, it is still the raw count of the congruence
     system (callers label it accordingly).
     """
-    return int((_head_levels(sys, ctx.p, m, budget, "congruence enumeration")[m][1] == 0).sum())
+    return congruence_table(sys, ctx, m, budget).counts[m]
 
 
 def congruence_table(sys: PolySystem, ctx: PrimeContext, depth: int, budget: int = DEFAULT_ENUM_BUDGET) -> CongruenceTable:
@@ -128,18 +124,13 @@ def exp_sum(sys: PolySystem, ctx: PrimeContext, m: int, u: int = 1, budget: int 
 
     m = 0 degenerates to the empty product level, where the sum is 1.
     """
-    if m == 0:
-        return complex(1.0)
-    p = ctx.p
-    _check_unit(u, p)
-    fl = _head_levels(sys, p, m, budget, "exponential-sum enumeration")[m][1]
-    return _exp_value(fl, p**m, u, Fraction(1, p ** (m * (sys.n - sys.l + 1))))
+    return expsum_table(sys, ctx, m, u, budget)[m].value
 
 
 def expsum_table(sys: PolySystem, ctx: PrimeContext, levels: int, u: int = 1, budget: int = DEFAULT_ENUM_BUDGET) -> list[ExpSumValue]:
     p = ctx.p
-    if levels >= 1:
-        _check_unit(u, p)
+    if levels >= 1 and u % p == 0:
+        raise ValueError("u must be a unit")
     walk = _head_levels(sys, p, levels, budget, "exponential-sum enumeration")
     return [
         ExpSumValue(m, u, _exp_value(fl, p**m, u, Fraction(1, p ** (m * (sys.n - sys.l + 1)))))
@@ -221,11 +212,8 @@ def gaussian_sum(chi: MultChar) -> complex:
 def _ac_counts(sys: PolySystem, ctx: PrimeContext, k: int, budget: int) -> dict[int, int]:
     """Counts, by angular component, of y mod p^{k+1} on the head variety
     with ord(f_l(y)) = k."""
-    return _ac_from(_head_levels(sys, ctx.p, k + 1, budget, "coefficient enumeration")[k + 1][1], ctx.p, k)
-
-
-def _ac_from(fl: np.ndarray, p: int, k: int) -> dict[int, int]:
-    """Counts, by angular component, of the values in fl of order k."""
+    p = ctx.p
+    fl = _head_levels(sys, p, k + 1, budget, "coefficient enumeration")[k + 1][1]
     pk = p**k
     ord_k = (fl % pk == 0) & ((fl // pk) % p != 0)
     binc = np.bincount((fl[ord_k] // pk) % p, minlength=p)
@@ -274,15 +262,12 @@ def prop3_residual(sys: PolySystem, ctx: PrimeContext, m: int, u: int = 1, budge
     if m == 0:
         return 0.0
     p = ctx.p
-    _check_unit(u, p)
-    # E, N_m and every c_{m-1}(chi) are read off one evaluation of f_l on H_m.
-    fl = _head_levels(sys, p, m, budget, "exponential-sum enumeration")[m][1]
+    # E first: it rejects a negative m and names a budget refusal.
+    lhs = exp_sum(sys, ctx, m, u, budget)
     norm = Fraction(1, p ** (m * (sys.n - sys.l + 1)))
-    lhs = _exp_value(fl, p**m, u, norm)
-    nm = int((fl == 0).sum())
-    counts = _ac_from(fl, p, m - 1)
+    counts = _ac_counts(sys, ctx, m - 1, budget)
     c_triv = sum(counts.values()) * norm
-    rhs = complex(float(nm * norm - c_triv / (p - 1)))
+    rhs = complex(float(count_Nm(sys, ctx, m, budget) * norm - c_triv / (p - 1)))
     for chi in all_characters(p):
         if chi.trivial:
             continue

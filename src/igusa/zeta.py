@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from . import fan as fan_mod
 from . import newton
@@ -45,7 +45,7 @@ from .counting import (
     check_nondegenerate,
     torus_count,
 )
-from .errors import DEFAULT_ENUM_BUDGET, HypothesisError
+from .errors import DEFAULT_ENUM_BUDGET, HypothesisError, IgusaError
 from .fan import Cone, barycenter, parallelepiped_points_with_coords
 from .polycore import PolySystem, PrimeContext, is_convenient
 from .ratfun import FactoredRationalFunction, PoleLine, qpow
@@ -227,10 +227,12 @@ def zeta_origin(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_ENUM_B
 
 
 def poincare_series(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET, report: ZetaReport | None = None) -> FactoredRationalFunction:
-    """P(t) = (1 - t Z) / (1 - t) with Z the full zeta function.
+    """P(t) = 1 + t (Z(1) - Z(t)) / (1 - t) with Z the full zeta function.
 
-    Requires good reduction; the identity counts congruence solutions, so it
-    is only valid when the variety is smooth mod p.
+    Needs good reduction: then N_m / q^{m(n-l+1)} for m >= 1 is Z(1) less
+    the first m coefficients of Z, while N_0 = 1.  Z(1), the head variety's
+    measure (1 gives (1 - t Z) / (1 - t)), is read off the reduced value;
+    a factor 1 - t^b left in its denominator is an ``IgusaError``.
     """
     if report is None:
         report = zeta_full(sys, ctx, budget)
@@ -239,8 +241,11 @@ def poincare_series(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_EN
             f"V^(l-1) does not have good reduction mod {ctx.p}; "
             "the Poincare series identity does not apply"
         )
-    q = ctx.q
-    one = FactoredRationalFunction.one(q)
-    numerator = one - report.zeta.shifted(1)
+    q, z = ctx.q, report.zeta
+    for a, b in z.den:
+        if a == 0:
+            raise IgusaError(f"Z(1) is undefined: the reduced zeta function keeps the factor (1 - t^{b})")
+    z1 = sum(z.num.values(), Fraction(0)) / prod((1 - qpow(q, a)) ** mult for (a, _), mult in z.den.items())
+    numerator = FactoredRationalFunction(q, {0: Fraction(1), 1: z1 - 1}) - z.shifted(1)
     inv_one_minus_t = FactoredRationalFunction(q, {0: Fraction(1)}, {(0, 1): 1})
     return numerator * inv_one_minus_t

@@ -129,6 +129,28 @@ x - y
 y^3 - 2*x*y + x
 """
 
+# Every certificate holds and the head has good reduction, but its measure
+# Z(1) = #V(F_3) / 3 is 1/3, not 1: Z = [(1/3) + (1/9) t^2] / [1 - 3^-1 t^2].
+JOB_HEAD_MEASURE = """\
+vars = x, y
+prime = 3
+depth = 3
+
+[polys]
+x^4 + 2*y^3 + x + x^3*y
+2*x^4 + 2*y^2 + x^2*y^3
+"""
+
+# One variable at a 19-digit prime: the ray's slice is one point, the
+# a = 0 scan would be a whole axis of p - 1 points.
+JOB_ONE_VAR_HUGE_PRIME = """\
+vars = x
+prime = 1000000000000000003
+
+[polys]
+x^2 + x
+"""
+
 
 def _write(tmp_path, text, name="job.cfg"):
     path = tmp_path / name
@@ -609,6 +631,25 @@ class TestMain:
         blob = json.loads(out_json.read_text())
         assert blob["zeta"]["value"]["t_form"] == value
         assert blob["poles"]["actual"] == lines
+
+    @pytest.mark.parametrize("mode", ["poincare", "all"])
+    def test_head_measure_below_one_exit_0(self, tmp_path, mode):
+        out_json = tmp_path / "report.json"
+        assert main([mode, "--input", _write(tmp_path, JOB_HEAD_MEASURE), "--json", str(out_json)]) == 0
+        rows = json.loads(out_json.read_text())["oracle"]["poincare"]["rows"]
+        assert [row["engine"] for row in rows] == ["1", "1/3", "1/3", "1/9"]
+        assert all(row["match"] for row in rows)
+
+    @pytest.mark.parametrize("prime", ["1000000000000000003", "20000080000005503"])
+    def test_one_variable_huge_prime_exit_4(self, tmp_path, capsys, prime):
+        # Refused with one JSON line, not a traceback from allocating the axis.
+        # The second p - 1 is 2 * 100000007 * 100000393: the one-point slice
+        # needs no primitive root, so p - 1 is not trial-divided up to 10^8.
+        job = JOB_ONE_VAR_HUGE_PRIME.replace("1000000000000000003", prime)
+        assert main(["check", "--input", _write(tmp_path, job)]) == 4
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == "ModulusOverflowError"
 
     def test_17_facet_normals_all_exit_0(self, tmp_path):
         out_json = tmp_path / "report.json"

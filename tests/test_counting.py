@@ -357,7 +357,7 @@ class TestOrbitSlice:
             hits = Counter(
                 tuple(pow(t, e // c, p) * x % p for e, x in zip(a, s))
                 for t in range(1, p)
-                for s in product(*(x.tolist() for x in axes))
+                for s in product(*(list(x) for x in axes))
             )
             assert set(hits) == set(product(range(1, p), repeat=n))
             assert set(hits.values()) == {g}
@@ -415,7 +415,7 @@ def _degenerate_system(rng, n):
 
 def _in_slice(s, p, w):
     axes, _ = _torus_slice(w.direction, s.n, p)
-    return all(x in axis.tolist() for x, axis in zip(w.point, axes))
+    return all(x in list(axis) for x, axis in zip(w.point, axes))
 
 
 class TestSlicedWitness:
@@ -529,6 +529,13 @@ class TestSlicedBudget:
             check_nondegenerate(s, ctx, budget=215)
         assert err.value.required == 216
         assert check_nondegenerate(s, ctx, budget=216).ok
+
+    def test_nineteen_digit_prime_refused_before_any_axis_exists(self):
+        # A whole axis would hold p - 1 = 10^18 + 2 values.
+        p = 1_000_000_000_000_000_003
+        with pytest.raises(BudgetExceededError) as err:
+            torus_count(sys71(), (1, 1, 1), PrimeContext(p))
+        assert err.value.required == (p - 1) ** 2
 
     def test_refusal_before_the_subdivision_uses_the_lower_bound(self, monkeypatch):
         def no_subdivision(*args, **kwargs):

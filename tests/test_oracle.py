@@ -522,10 +522,19 @@ class TestTreeBudget:
         head_zeros = sum(1 for x in range(p) for y in range(p) if (x**k + y**k) % p == 0)
         required = head_zeros * p**2
         s, ctx = sys72(k), PrimeContext(p)
-        for call in (lambda b: congruence_table(s, ctx, 2, b), lambda b: expsum_table(s, ctx, 2, 1, b)):
+        calls = [
+            (lambda b: congruence_table(s, ctx, 2, b), "congruence"),
+            (lambda b: expsum_table(s, ctx, 2, 1, b), "exponential-sum"),
+            (lambda b: count_Nm(s, ctx, 2, b), "congruence"),
+            (lambda b: exp_sum(s, ctx, 2, 1, b), "exponential-sum"),
+            (lambda b: prop3_residual(s, ctx, 2, 1, b), "exponential-sum"),
+            (lambda b: coeff_extract(s, ctx, 1, MultChar(p, 0), b), "coefficient"),
+        ]
+        for call, what in calls:
             with pytest.raises(BudgetExceededError) as err:
                 call(required - 1)
             assert err.value.required == required
+            assert str(err.value).startswith(f"{what} enumeration:")
             call(required)
         assert required < p**4
 

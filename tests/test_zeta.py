@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -376,6 +377,35 @@ class TestPoincare:
         s = sys72(2)  # x^2+y^2 has a singular point at the origin mod 5
         with pytest.raises(HypothesisError):
             poincare_series(s, PrimeContext(5))
+
+    def test_head_measure_below_one_matches_congruence_oracle(self):
+        # Half of these heads have measure Z(1) = #V(F_p) / p^(n-l+1) other
+        # than 1, where the series needs Z(1) itself, not (1 - tZ) / (1 - t).
+        from igusa.oracle import congruence_table
+
+        rng = random.Random(1)
+        checked = 0
+        for _ in range(20):
+            p = rng.choice([3, 5, 7, 11])
+            s, ctx = _random_convenient_system(rng, p), PrimeContext(p)
+            try:
+                rep = zeta_full(s, ctx)
+            except IgusaError:
+                continue
+            if not rep.hypotheses["good_reduction"]:
+                continue
+            counts = congruence_table(s, ctx, 3).counts
+            expected = [Fraction(counts[m], p ** (m * (s.n - s.l + 1))) for m in range(4)]
+            assert poincare_series(s, ctx, report=rep).taylor(3) == expected, (s.polys, p)
+            checked += 1
+        assert checked == 10
+
+    def test_factor_without_q_leaves_z1_undefined(self):
+        # (1 - t) / (1 - t^2) keeps 1 - t^2: Z(1) cannot be read off it.
+        z = FRF(5, {0: 1, 1: -1}, {(0, 2): 1})
+        report = SimpleNamespace(zeta=z, hypotheses={"good_reduction": True})
+        with pytest.raises(IgusaError, match=r"\(1 - t\^2\)"):
+            poincare_series(sys_line(), PrimeContext(5), report=report)
 
     def test_theorem5_growth(self):
         from math import log
