@@ -3,9 +3,10 @@ oracles, and emit deterministic text and JSON reports.
 
 Job files are UTF-8, one key=value per line, with the polynomial block
 introduced by a line reading "[polys]" (one polynomial per line, the last
-entry being f_l).  '#' starts a comment.  Exit codes: 0 all checks pass,
-1 parse/config error, 2 hypothesis rejected (witness in the JSON detail),
-3 oracle mismatch, 4 enumeration budget exceeded.
+entry being f_l).  '#' starts a comment.  Exit codes: 1 parse/config
+error, 4 enumeration budget exceeded; otherwise the checks decide: 3 if a
+pole or oracle comparison failed (it outranks a refusal), else 2 if any
+failed (a hypothesis rejected, witness in the JSON detail), else 0.
 
 The zeta and poles sections show Z, the zeta function over the unit
 polydisc, except that zeta0 shows Z_0, the one around the origin, and poles
@@ -18,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import counting, fan as fan_mod, newton, oracle, zeta as zeta_mod
@@ -27,7 +28,10 @@ from .polycore import PolySystem, PrimeContext, is_convenient, parse_polynomial
 from .ratfun import FactoredRationalFunction
 
 MODES = ("zeta", "zeta0", "poles", "poincare", "expsum", "congruence", "check", "all")
-KEYS = ("vars", "prime", "mode", "depth", "expsum_levels", "budget", "output")
+# Each job-file key and the JobConfig field it sets; JobConfig holds the defaults.
+_FIELDS = {"vars": "variables", "prime": "prime", "mode": "mode", "depth": "oracle_depth",
+           "expsum_levels": "expsum_levels", "budget": "budget", "output": "output"}
+KEYS = tuple(_FIELDS)
 
 
 @dataclass
@@ -42,16 +46,9 @@ class JobConfig:
     output: str = "text"
 
     def as_json(self) -> dict:
-        return {
-            "vars": self.variables,
-            "polys": self.polys,
-            "prime": self.prime,
-            "mode": self.mode,
-            "oracle_depth": self.oracle_depth,
-            "expsum_levels": self.expsum_levels,
-            "budget": self.budget,
-            "output": self.output,
-        }
+        out = asdict(self)
+        out["vars"] = out.pop("variables")
+        return out
 
 
 class ConfigError(IgusaError):
@@ -88,20 +85,15 @@ def parse_config(text: str) -> JobConfig:
         raise ConfigError("missing 'prime' key")
     if not polys:
         raise ConfigError("missing [polys] block")
-    variables = [v.strip() for v in keys["vars"].split(",") if v.strip()]
+    fields = {_FIELDS[key]: value for key, value in keys.items()}
+    fields["variables"] = [v.strip() for v in keys["vars"].split(",") if v.strip()]
     try:
-        cfg = JobConfig(
-            variables=variables,
-            polys=polys,
-            prime=int(keys["prime"]),
-            mode=keys.get("mode", "all"),
-            oracle_depth=int(keys.get("depth", 3)),
-            expsum_levels=int(keys.get("expsum_levels", 4)),
-            budget=int(keys.get("budget", DEFAULT_ENUM_BUDGET)),
-            output=keys.get("output", "text"),
-        )
+        for name in ("prime", "oracle_depth", "expsum_levels", "budget"):
+            if name in fields:
+                fields[name] = int(fields[name])
     except ValueError as exc:
         raise ConfigError(f"bad numeric value: {exc}") from exc
+    cfg = JobConfig(polys=polys, **fields)
     if cfg.mode not in MODES:
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.output not in ("text", "json"):
@@ -146,9 +138,18 @@ def _pole_lines_json(lines) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _check(report: dict, name: str, passed: bool, detail) -> bool:
+def _check(report: dict, name: str, passed: bool, detail) -> None:
     report["checks"].append({"name": name, "passed": bool(passed), "detail": detail})
-    return passed
+
+
+_MISMATCHES = {"pole_containment", "poincare_vs_congruence", "prop3_residual"}
+
+
+def _exit_code(report: dict) -> int:
+    """3 if a check comparing the engine with the candidates or an oracle
+    failed, else 2 if any check failed, else 0."""
+    failed = {c["name"] for c in report["checks"] if not c["passed"]}
+    return 3 if failed & _MISMATCHES else 2 if failed else 0
 
 
 def run(config: JobConfig) -> tuple[dict, int]:
@@ -203,12 +204,10 @@ def run(config: JobConfig) -> tuple[dict, int]:
         "cones_by_dim": by_dim,
     }
 
-    exit_code = 0
-
     if mode == "check":
         ok = conv.convenient and cert_global.ok and cert_origin.ok and (good_red is not False)
         _check(report, "hypotheses", ok, report["certificates"])
-        return report, 0 if ok else 2
+        return report, _exit_code(report)
 
     # zr also feeds the Poincare and prop3 checks, which need the full zeta.
     zr = None
@@ -216,28 +215,24 @@ def run(config: JobConfig) -> tuple[dict, int]:
         try:
             zr = zeta_mod.zeta_full(sys_, ctx, budget)
         except HypothesisError as exc:
-            report["checks"].append({"name": "zeta_full_hypotheses", "passed": False, "detail": exc.detail()})
+            _check(report, "zeta_full_hypotheses", False, exc.detail())
     shown = zr
     if mode == "zeta0" or (mode in ("poles", "all") and zr is None):
         try:
             shown = zeta_mod.zeta_origin(sys_, ctx, budget)
         except HypothesisError as exc:
-            report["checks"].append({"name": "zeta_origin_hypotheses", "passed": False, "detail": exc.detail()})
+            _check(report, "zeta_origin_hypotheses", False, exc.detail())
 
     if shown is not None:
         report["zeta"] = _zeta_json(shown)
         report["poles"] = _poles_json(shown)
-        contained = _pole_containment_ok(shown)
-        _check(report, "pole_containment", contained, "actual pole lines within candidates + {-1}")
-        if not contained:
-            exit_code = max(exit_code, 3)
+        _check(report, "pole_containment", _pole_containment_ok(shown), "actual pole lines within candidates + {-1}")
     elif mode == "poles":
         report["poles"] = {"candidates": _candidates_json(zeta_mod.candidate_poles(sys_)), "actual": None}
 
     if mode == "poincare" and (zr is None or not good_red):
-        detail = "good reduction fails" if not good_red else "engine hypotheses fail"
-        _check(report, "poincare_available", False, detail)
-        return report, 2
+        _check(report, "poincare_available", False, "good reduction fails" if not good_red else "engine hypotheses fail")
+        return report, _exit_code(report)
 
     oracle_section: dict = {}
     if mode in ("poincare", "congruence", "all"):
@@ -260,8 +255,7 @@ def run(config: JobConfig) -> tuple[dict, int]:
                     {"m": m, "engine": _frac(taylor[m]), "oracle": _frac(expected), "match": match}
                 )
             oracle_section["poincare"] = {"series": _frf_json(series), "rows": rows}
-            if not _check(report, "poincare_vs_congruence", all_match, rows):
-                exit_code = max(exit_code, 3)
+            _check(report, "poincare_vs_congruence", all_match, rows)
 
     if mode in ("expsum", "all"):
         rows = []
@@ -290,15 +284,11 @@ def run(config: JobConfig) -> tuple[dict, int]:
             res = oracle.prop3_residual(sys_, ctx, 1, 1, budget)
             residuals = [{"m": 1, "u": 1, "residual": res}]
             oracle_section["expsum"]["prop3_residuals"] = residuals
-            if not _check(report, "prop3_residual", res < 1e-9, residuals):
-                exit_code = max(exit_code, 3)
+            _check(report, "prop3_residual", res < 1e-9, residuals)
 
     if oracle_section:
         report["oracle"] = oracle_section
-
-    if exit_code == 0 and not all(c["passed"] for c in report["checks"]):
-        exit_code = 2
-    return report, exit_code
+    return report, _exit_code(report)
 
 
 def _cert_json(cert: counting.NondegCertificate) -> dict:

@@ -141,9 +141,16 @@ def _failures(jac: list[list[IntPolynomial]], coords: list[np.ndarray], p: int, 
 
 def _least_image(failures, a, p: int) -> tuple[tuple[int, ...], int]:
     """The least (t.z, rank) over t in F_p^x and the failing slice points z:
-    the first failure on the whole torus (see the module docstring)."""
+    the first failure on the whole torus (see the module docstring).  If
+    t -> t^(a'_j) is onto, j the first nonzero coordinate of a' = a / gcd(a),
+    z's least image has 1 at j, from t = z_j^(-1/a'_j): none before j moves."""
     c = math.gcd(*a)
-    scales = [[pow(t, x // c, p) for x in a] for t in range(1, p)] if c else [[1] * len(a)]
+    w = [x // c for x in a] if c else a
+    j = next((i for i, x in enumerate(w) if x), 0)
+    if c and math.gcd(w[j], p - 1) == 1:
+        e = -pow(w[j], -1, p - 1)
+        return min((tuple(pow(z[j], e * x, p) * y % p for x, y in zip(w, z)), r) for z, r in failures)
+    scales = [[pow(t, x, p) for x in w] for t in range(1, p)] if c else [[1] * len(a)]
     return min((tuple(s * x % p for s, x in zip(scale, z)), r) for scale in scales for z, r in failures)
 
 

@@ -18,7 +18,6 @@ walls join the apex to the class's faces, split first: no linear algebra.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -26,7 +25,7 @@ from itertools import product
 from math import gcd, lcm
 
 from . import linalg, newton
-from .polycore import PolySystem, _content, face_function, is_convenient
+from .polycore import PolySystem, _content, face_function
 
 Ray = tuple[int, ...]
 
@@ -117,21 +116,13 @@ def dual_subdivision(sys: PolySystem) -> Fan:
 
     The classes are the relatively open cones Delta_tau; each is spanned by
     the facet normals of the system polyhedron whose facet contains tau.
-    The fan depends only on the polynomials, so it is built once and kept
-    on ``sys`` under their content, together with its triangulation once
-    that is asked for; every later call returns the same ``Fan``.
+    The fan depends only on the polynomials, so one ``Fan`` is built, for
+    a non-convenient system too and without a warning, and kept on ``sys``
+    under their content (its triangulation once asked for) for every call.
     """
     kept = ("dual subdivision", _content(sys.polys))
     if kept in sys.scans:
         return sys.scans[kept]
-    report = is_convenient(sys)
-    if not report.convenient:
-        warnings.warn(
-            f"system is not convenient (missing pure powers: {report.missing}); "
-            "the subdivision is built anyway but the zeta engine will refuse",
-            stacklevel=2,
-        )
-
     gamma_f = newton.system_polyhedron(sys)
     rays = sorted({f.normal for f in gamma_f.facets}, key=lambda r: (sum(r), r))
     incidence = {r: _incidence(sys, r) for r in rays}

@@ -1,8 +1,9 @@
 import json
+import warnings
 
 import pytest
 
-from igusa.cli import main, parse_config, report_json, run
+from igusa.cli import JobConfig, main, parse_config, report_json, run
 from igusa.newton import MAX_DIMENSION
 
 JOB_72 = """\
@@ -151,6 +152,16 @@ prime = 1000000000000000003
 x^2 + x
 """
 
+# Not convenient (x*y + x^3 has no pure power of y): both engines refuse.
+JOB_NOT_CONVENIENT = """\
+vars = x, y
+prime = 5
+
+[polys]
+x + y
+x*y + x^3
+"""
+
 
 def _write(tmp_path, text, name="job.cfg"):
     path = tmp_path / name
@@ -193,6 +204,27 @@ class TestConfig:
         assert main(["zeta", "--input", str(path)]) == 1
         detail = json.loads(capsys.readouterr().err)
         assert detail["error"] == "ConfigError" and str(path) in detail["message"]
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [("prime = 5", "prime 5", "line 2: expected key=value or [polys] block"),
+         ("prime = 5\n", "", "missing 'prime' key"),
+         ("depth = 3", "depth = three\nbudget = lots", "bad numeric value: invalid literal for int() with base 10: 'three'"),
+         ("mode = zeta0", "mode = zeta1", "unknown mode 'zeta1'"),
+         ("depth = 3", "depth = 3\noutput = xml", "unknown output format 'xml'")],
+        ids=["not-key-value", "no-prime", "bad-number", "unknown-mode", "unknown-output"],
+    )
+    def test_bad_job_file_exit_1(self, tmp_path, capsys, old, new, message):
+        assert main(["zeta0", "--input", _write(tmp_path, JOB_72.replace(old, new))]) == 1
+        detail = json.loads(capsys.readouterr().err)
+        assert detail["error"] == "ConfigError" and detail["message"] == message
+
+    def test_omitted_keys_take_jobconfig_defaults(self):
+        cfg = parse_config("vars = x, y\nprime = 5\n[polys]\nx + y\nx^2 + y^2\n")
+        assert cfg == JobConfig(["x", "y"], ["x + y", "x^2 + y^2"], 5)
+        assert set(cfg.as_json()) == {
+            "vars", "polys", "prime", "mode", "oracle_depth", "expsum_levels", "budget", "output"
+        }
 
     def test_comments_ignored(self):
         cfg = parse_config("# hello\nvars = x, y\nprime = 7 # the prime\n[polys]\nx + y\nx^2+y^2\n")
@@ -411,6 +443,54 @@ class TestRun:
         assert any(c["name"] == "poincare_vs_congruence" and not c["passed"] for c in report["checks"])
 
 
+class TestExitCode:
+    """The checks alone decide the code: 3 if a pole or oracle comparison
+    failed, else 2 if any check failed, else 0."""
+
+    @staticmethod
+    def _run(job, mode, **settings):
+        cfg = parse_config(job)
+        cfg.mode = mode
+        for name, value in settings.items():
+            setattr(cfg, name, value)
+        report, code = run(cfg)
+        return {c["name"] for c in report["checks"] if not c["passed"]}, code, report
+
+    def test_pole_containment_exit_3(self, monkeypatch):
+        import igusa.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_pole_containment_ok", lambda zr: False)
+        failed, code, _ = self._run(JOB_71, "zeta")
+        assert (failed, code) == ({"pole_containment"}, 3)
+
+    def test_prop3_residual_exit_3(self, monkeypatch):
+        import igusa.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.oracle, "prop3_residual", lambda *args, **kwargs: 1.0)
+        failed, code, _ = self._run(JOB_LINE, "expsum", expsum_levels=3)
+        assert (failed, code) == ({"prop3_residual"}, 3)
+
+    def test_mismatch_outranks_refusal(self, monkeypatch):
+        # Good reduction fails at p = 5, so the Poincare series is refused
+        # (2), but the failed pole comparison before it reads 3.
+        import igusa.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_pole_containment_ok", lambda zr: False)
+        failed, code, _ = self._run(JOB_72, "poincare")
+        assert (failed, code) == ({"pole_containment", "poincare_available"}, 3)
+
+    def test_zeta0_refused_exit_2(self):
+        failed, code, report = self._run(JOB_NOT_CONVENIENT, "zeta0")
+        assert (failed, code) == ({"zeta_origin_hypotheses"}, 2)
+        assert report["zeta"] is None and report["certificates"]["convenient"]["ok"] is False
+
+    def test_poles_both_engines_refused_exit_2(self):
+        failed, code, report = self._run(JOB_NOT_CONVENIENT, "poles")
+        assert (failed, code) == ({"zeta_full_hypotheses", "zeta_origin_hypotheses"}, 2)
+        assert report["poles"]["actual"] is None
+        assert [line["re"] for line in report["poles"]["candidates"]["lines"]] == ["-1/2", "-2/3", "-1"]
+
+
 class TestShownZeta:
     """The engine runs only for the zeta function the report shows."""
 
@@ -551,6 +631,23 @@ class TestMain:
         path = _write(tmp_path, JOB_DEGENERATE)
         code = main(["zeta", "--input", path])
         assert code == 1
+
+    def test_json_output_on_stdout(self, tmp_path, capsys):
+        out_json = tmp_path / "report.json"
+        path = _write(tmp_path, JOB_72.replace("depth = 3", "depth = 3\noutput = json"))
+        assert main(["zeta0", "--input", path, "--json", str(out_json)]) == 0
+        out = capsys.readouterr().out
+        assert out == out_json.read_text()
+        assert set(json.loads(out)) == {"config", "certificates", "fan", "zeta", "poles", "oracle", "checks"}
+
+    def test_not_convenient_leaves_stderr_empty(self, tmp_path, capsys):
+        # The report's certificates.convenient says it; nothing else does.
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(["all", "--input", _write(tmp_path, JOB_NOT_CONVENIENT)]) == 2
+        assert record == []
+        captured = capsys.readouterr()
+        assert captured.err == "" and "convenient=False" in captured.out
 
     def test_prime_override(self, tmp_path, capsys):
         path = _write(tmp_path, JOB_72)

@@ -1,6 +1,6 @@
 import math
 import random
-import warnings
+import time
 from collections import Counter
 from itertools import product
 from types import SimpleNamespace
@@ -10,6 +10,7 @@ import pytest
 
 from igusa import counting
 from igusa.counting import (
+    NondegWitness,
     _torus_slice,
     check_good_reduction,
     check_nondegenerate,
@@ -163,6 +164,16 @@ class TestNondegeneracy:
         faces = [face_function(f, w.direction) for f in degenerate_curve().polys]
         assert all(g.evaluate_mod(w.point, 3) == 0 for g in faces)
         assert jacobian_rank(faces, w.point, ctx) == w.rank < 1
+
+    def test_verify_witness_rejects(self):
+        # (x^3 - y^2)^2 at p = 13 has the witness ((2, 3), (1, 1), 0).  The
+        # origin is a rank-0 zero of the face but not on the torus; (1, 2)
+        # is on the torus but off the face variety.
+        s = PolySystem(2, [parse_polynomial("x^6 - 2*x^3*y^2 + y^4", V2)])
+        ctx = PrimeContext(13)
+        assert verify_witness(s, ctx, NondegWitness((2, 3), (1, 1), 0))
+        assert not verify_witness(s, ctx, NondegWitness((2, 3), (0, 0), 0))
+        assert not verify_witness(s, ctx, NondegWitness((2, 3), (1, 2), 0))
 
     @pytest.mark.parametrize("at_origin", [False, True])
     @pytest.mark.parametrize("p", [3, 5, 7])
@@ -469,6 +480,30 @@ class TestSlicedWitness:
         assert (w.direction, w.point, w.rank) == ((4, 2), (1, 2), 0)
         assert verify_witness(s, ctx, w)
 
+    def test_least_image_over_every_t(self):
+        # One t per failure where t -> t^(a'_j) is onto F_p^x, every t where
+        # it is not: both give the least image over all of F_p^x.
+        rng = random.Random(22)
+        for _ in range(300):
+            p, n = rng.choice([3, 5, 7, 11, 13]), rng.choice([1, 2, 3])
+            a = tuple(rng.choice([0, 1, 2, 3, 4, 6]) for _ in range(n))
+            failures = [(tuple(rng.randrange(1, p) for _ in range(n)), rng.randrange(2)) for _ in range(rng.randrange(1, 4))]
+            c = math.gcd(*a) or 1
+            least = min((tuple(pow(t, x // c, p) * y % p for x, y in zip(a, z)), r) for t in range(1, p) for z, r in failures)
+            assert counting._least_image(failures, a, p) == least, (failures, a, p)
+
+    def test_every_slice_point_fails(self):
+        # (x - y)^2 + z^4 at p = 1009: directions (0, 0, 1) and (2, 2, 2) fail
+        # at all p - 1 points of their slices.  Trying every t formed
+        # (p - 1)^2 images per certificate, over a second each.
+        s = PolySystem(3, [parse_polynomial("x^2 - 2*x*y + y^2 + z^4", V3)])
+        ctx = PrimeContext(1009)
+        start = time.perf_counter()
+        certs = [check_nondegenerate(s, ctx, at_origin=at_origin) for at_origin in (False, True)]
+        assert time.perf_counter() - start < 1.5
+        witnesses = [(c.witness.direction, c.witness.point, c.witness.rank) for c in certs]
+        assert witnesses == [((0, 0, 1), (1, 1, 1), 0), ((2, 2, 2), (1, 1, 1), 0)]
+
     def test_seeded_degenerate_systems(self):
         outside = 0
         for seed in range(12):
@@ -578,9 +613,7 @@ class TestScanMemo:
     def test_filled_equals_fresh(self, system, p, monkeypatch):
         ctx = PrimeContext(p)
         s = PolySystem(system.n, system.polys)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a random system need not be convenient
-            sub = dual_subdivision(s)
+        sub = dual_subdivision(s)
         monkeypatch.setattr(counting.fan_mod, "dual_subdivision", lambda t: sub)
         certs = {scope: check_nondegenerate(s, ctx, at_origin=scope) for scope in (False, True)}
         assert s.scans
@@ -603,9 +636,7 @@ class TestScanMemo:
     def test_filled_scans_keep_the_budget(self, system, p, monkeypatch):
         ctx = PrimeContext(p)
         s = PolySystem(system.n, system.polys)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            directions = [barycenter(cone) for cone in triangulate(dual_subdivision(s)).cones] + [(0,) * s.n]
+        directions = [barycenter(cone) for cone in triangulate(dual_subdivision(s)).cones] + [(0,) * s.n]
         for a in directions:
             torus_count(s, a, ctx)
         if s.l >= 2:

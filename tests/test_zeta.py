@@ -293,11 +293,7 @@ class TestZeta:
     def test_refuses_non_convenient(self):
         s = PolySystem(2, [parse_polynomial("x*y+x^2", V2), parse_polynomial("x^2+y^2", V2)])
         with pytest.raises(HypothesisError):
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                zeta_full(s, PrimeContext(5))
+            zeta_full(s, PrimeContext(5))
 
     def test_refuses_degenerate_with_witness(self):
         # (x+y+z^2, x^2+y^2+z^4) is degenerate at p=3: the full system has a
