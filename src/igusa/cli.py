@@ -19,7 +19,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from . import counting, fan as fan_mod, newton, oracle, zeta as zeta_mod
@@ -102,35 +103,31 @@ def parse_config(text: str) -> JobConfig:
 
 
 # ---------------------------------------------------------------------------
-# JSON rendering helpers: exact strings everywhere, doubles only for complex
-# oracle values.
+# JSON values: exact strings everywhere, doubles only for complex oracle values
 # ---------------------------------------------------------------------------
 
 
-def _frac(x: Fraction | int) -> str:
-    return str(Fraction(x))
-
-
-def _frf_json(r: FactoredRationalFunction) -> dict:
-    return {
-        "numerator": {str(k): _frac(c) for k, c in sorted(r.num.items())},
-        "denominator": [
-            {"a": a, "b": b, "mult": m} for (a, b), m in sorted(r.den.items())
-        ],
-        "t_form": r.t_form(),
-        "s_form": r.s_form(),
-    }
-
-
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def _pole_lines_json(lines) -> list[dict]:
-    return [
-        {"re": _frac(l.re), "period": l.period, "multiplicity": l.multiplicity}
-        for l in lines
-    ]
+def _json_value(x):
+    """The report's value rule, applied once to the whole report: an exact
+    number becomes str(Fraction), a tuple a list, a complex number [re, im],
+    a rational function its numerator, factors, t_form and s_form, and a
+    dataclass a dict of its fields; str, int, float and None stay as they are."""
+    if x is None or isinstance(x, (str, int, float)):
+        return x
+    if isinstance(x, Fraction):
+        return str(x)
+    if isinstance(x, complex):
+        return [float(x.real), float(x.imag)]
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    if isinstance(x, FactoredRationalFunction):
+        num = {str(k): str(c) for k, c in sorted(x.num.items())}
+        den = [{"a": a, "b": b, "mult": m} for (a, b), m in sorted(x.den.items())]
+        return {"numerator": num, "denominator": den, "t_form": x.t_form(), "s_form": x.s_form()}
+    # Fields, not vars(): a Cone keeps cached properties in its __dict__.
+    return {f.name: _json_value(getattr(x, f.name)) for f in fields(x)}
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +192,16 @@ def run(config: JobConfig) -> tuple[dict, int]:
     }
 
     tri = fan_mod.dual_subdivision(sys_).triangulation
-    by_dim: dict[str, int] = {}
-    for cone in tri.cones:
-        by_dim[str(cone.dim)] = by_dim.get(str(cone.dim), 0) + 1
     report["fan"] = {
-        "skeleton": [list(r) for r in tri.skeleton],
+        "skeleton": tri.skeleton,
         "cone_count": len(tri.cones),
-        "cones_by_dim": by_dim,
+        "cones_by_dim": Counter(str(cone.dim) for cone in tri.cones),
     }
 
     if mode == "check":
         ok = conv.convenient and cert_global.ok and cert_origin.ok and (good_red is not False)
         _check(report, "hypotheses", ok, report["certificates"])
-        return report, _exit_code(report)
+        return _json_value(report), _exit_code(report)
 
     # zr also feeds the Poincare and prop3 checks, which need the full zeta.
     zr = None
@@ -228,11 +222,11 @@ def run(config: JobConfig) -> tuple[dict, int]:
         report["poles"] = _poles_json(shown)
         _check(report, "pole_containment", _pole_containment_ok(shown), "actual pole lines within candidates + {-1}")
     elif mode == "poles":
-        report["poles"] = {"candidates": _candidates_json(zeta_mod.candidate_poles(sys_)), "actual": None}
+        report["poles"] = {"candidates": zeta_mod.candidate_poles(sys_), "actual": None}
 
     if mode == "poincare" and (zr is None or not good_red):
         _check(report, "poincare_available", False, "good reduction fails" if not good_red else "engine hypotheses fail")
-        return report, _exit_code(report)
+        return _json_value(report), _exit_code(report)
 
     oracle_section: dict = {}
     if mode in ("poincare", "congruence", "all"):
@@ -252,16 +246,16 @@ def run(config: JobConfig) -> tuple[dict, int]:
                 match = taylor[m] == expected
                 all_match &= match
                 rows.append(
-                    {"m": m, "engine": _frac(taylor[m]), "oracle": _frac(expected), "match": match}
+                    {"m": m, "engine": taylor[m], "oracle": expected, "match": match}
                 )
-            oracle_section["poincare"] = {"series": _frf_json(series), "rows": rows}
+            oracle_section["poincare"] = {"series": series, "rows": rows}
             _check(report, "poincare_vs_congruence", all_match, rows)
 
     if mode in ("expsum", "all"):
         rows = []
         mags = []
         for entry in oracle.expsum_table(sys_, ctx, config.expsum_levels, 1, budget):
-            rows.append({"m": entry.m, "E": _complex_pair(entry.value), "abs": abs(entry.value)})
+            rows.append({"m": entry.m, "E": entry.value, "abs": abs(entry.value)})
             if entry.m >= 1 and abs(entry.value) > 0:
                 mags.append((entry.m, abs(entry.value)))
         slope = None
@@ -272,11 +266,10 @@ def run(config: JobConfig) -> tuple[dict, int]:
             slope = (k * sum(x * y for x, y in zip(xs, ys)) - sum(xs) * sum(ys)) / (
                 k * sum(x * x for x in xs) - sum(xs) ** 2
             )
-        gamma = zeta_mod.candidate_poles(sys_).gamma_f
         oracle_section["expsum"] = {
             "rows": rows,
             "fitted_decay_exponent": slope,
-            "gamma_f": _frac(gamma) if gamma is not None else None,
+            "gamma_f": zeta_mod.candidate_poles(sys_).gamma_f,
         }
         if good_red and zr is not None:
             # At m = 1 the stationary-phase identity is exact with conductor <= 1
@@ -288,56 +281,28 @@ def run(config: JobConfig) -> tuple[dict, int]:
 
     if oracle_section:
         report["oracle"] = oracle_section
-    return report, _exit_code(report)
+    return _json_value(report), _exit_code(report)
 
 
 def _cert_json(cert: counting.NondegCertificate) -> dict:
-    out = {"ok": cert.ok, "scope": cert.scope, "p": cert.p, "directions_checked": cert.directions_checked}
-    if cert.witness is not None:
-        out["witness"] = {
-            "direction": list(cert.witness.direction),
-            "point": list(cert.witness.point),
-            "rank": cert.witness.rank,
-        }
-    return out
+    return {k: v for k, v in asdict(cert).items() if v is not None}
 
 
 def _zeta_json(zr: zeta_mod.ZetaReport) -> dict:
     return {
         "mode": zr.mode,
-        "value": _frf_json(zr.zeta),
-        "L0": _frf_json(zr.L0) if zr.L0 is not None else None,
+        "value": zr.zeta,
+        "L0": zr.L0,
         "hypotheses": zr.hypotheses,
         "contributions": [
-            {
-                "cone": [list(g) for g in c.cone.generators],
-                "L": _frf_json(c.L),
-                "S": _frf_json(c.S),
-                "product": _frf_json(c.product),
-            }
+            {"cone": c.cone.generators, "L": c.L, "S": c.S, "product": c.product}
             for c in zr.contributions
         ],
     }
 
 
-def _candidates_json(cands: zeta_mod.CandidatePoles) -> dict:
-    return {
-        "lines": [
-            {"re": _frac(l.re), "period": l.period, "rays": [list(r) for r in l.rays]}
-            for l in cands.lines
-        ],
-        "gamma_f": _frac(cands.gamma_f) if cands.gamma_f is not None else None,
-        "multiplicity_bound": cands.multiplicity_bound,
-    }
-
-
 def _poles_json(zr: zeta_mod.ZetaReport) -> dict:
-    return {
-        "candidates": _candidates_json(zr.candidates),
-        "actual": _pole_lines_json(zr.actual_poles),
-        "beta_f": _frac(zr.beta_f) if zr.beta_f is not None else None,
-        "gamma_f": _frac(zr.gamma_f) if zr.gamma_f is not None else None,
-    }
+    return {"candidates": zr.candidates, "actual": zr.actual_poles, "beta_f": zr.beta_f, "gamma_f": zr.gamma_f}
 
 
 def _pole_containment_ok(zr: zeta_mod.ZetaReport) -> bool:

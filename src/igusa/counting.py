@@ -14,16 +14,18 @@ a: f_a(t.x) = t^d f_a(x) with t.x = (t^{a_1} x_1, ..., t^{a_n} x_n), and
 J(t.x) = D_1 J(x) D_2 with invertible diagonal D_1, D_2.  So F_p^x acts on
 the torus keeping zeros and Jacobian ranks, and a torus scan needs one
 slice that meets every orbit: with a' = a / gcd(a) and the coordinate j
-minimising g = gcd(|a'_j|, p-1), x_j runs over the g coset representatives
-zeta^0, ..., zeta^(g-1) of (F_p^x)^{a'_j} (zeta a primitive root) and the
-other coordinates over all of F_p^x.  Every orbit meets the slice, each
-torus point is hit g times by F_p^x x slice, so counts are the slice's
-times (p-1)/g.  That is g (p-1)^(n-1) points instead of (p-1)^n, and the
-budget is checked at that size.  a = 0 (the constant chart term and the
-global "including the origin" direction) is scanned in full.  A degeneracy
-witness is the lexicographically first failing point of the whole torus:
-the least image (t^{a'_1} z_1, ..., t^{a'_n} z_n), t in F_p^x, of the
-slice's failures z, as every failure is such an image with the same rank.
+minimising g = gcd(|a'_j|, p-1) (ties to the first), x_j runs over the
+least residue of each of the g cosets of (F_p^x)^g, the values t^{a'_j},
+and the other coordinates over all of F_p^x.  Every orbit meets the slice,
+each torus point is hit g times by F_p^x x slice, so counts are the
+slice's times (p-1)/g.  That is g (p-1)^(n-1) points instead of (p-1)^n,
+and the budget is checked at that size.  a = 0 (the constant chart term
+and the global "including the origin" direction) is scanned in full.  A
+degeneracy witness is the lexicographically first failing point of the
+whole torus.  t.x fixes the coordinates before the first nonzero a'_{j0}
+and keeps x_{j0} in its coset, so the slice at j0 holds every orbit's
+least point, and its least failure is the witness.  If j != j0 and the
+face system fails, that slice is scanned too, within the budget.
 
 One pass over a slice gives the head zeros (c_open + c_closed), the common
 zeros (c_closed) and the first failure.  All three depend only on the face
@@ -31,7 +33,7 @@ polynomials, so each face system is scanned once per prime and the result
 is kept on the ``PolySystem`` (``_scan``): every certificate and every
 ``torus_count`` call whose direction has that face system reads it.  Good
 reduction is kept the same way.  The budget is still checked at each
-caller's own slice size (p^n for good reduction) before the kept result is
+caller's own slice sizes (p^n for good reduction) before the kept result is
 read, so a call refused on a fresh system is refused on a scanned one.
 """
 
@@ -45,7 +47,7 @@ import numpy as np
 from . import fan as fan_mod
 from .errors import DEFAULT_ENUM_BUDGET, check_budget
 from .polycore import IntPolynomial, PolySystem, PrimeContext, eval_on_grid, face_function, grid_zeros
-from .polycore import _content, primitive_root, product_chunks
+from .polycore import _content, product_chunks
 
 
 @dataclass
@@ -70,21 +72,31 @@ class NondegCertificate:
     directions_checked: int = 0
 
 
-def _torus_slice(a, n: int, p: int) -> tuple[list, int]:
-    """Coordinate axes of an orbit slice of (F_p^x)^n for direction a, and
-    the number (p-1)/g of torus points each slice point stands for.
-
-    a = 0 gives the whole torus with weight 1.  No axis is an array, so the
-    caller can check the size (p-1)^n / weight before any point exists.
-    """
+def _slices(a, n: int, p: int) -> list[tuple[list, int]]:
+    """(axes, g) of the orbit slice of (F_p^x)^n at each nonzero coordinate j
+    of direction a, in order (see the module docstring); x and y share a
+    coset of (F_p^x)^g iff x^((p-1)/g) = y^((p-1)/g).  a = 0 gives the whole
+    torus as g = p - 1.  No axis is an array, so the caller can check the
+    size g (p-1)^(n-1) before any point exists."""
     a = [int(x) for x in a]
-    axes = [range(1, p)] * n
-    c = math.gcd(*a)
-    if c == 0:
-        return axes, 1
-    g, j = min((math.gcd(abs(x) // c, p - 1), j) for j, x in enumerate(a) if x)
-    zeta = primitive_root(p) if g > 1 else 1  # one coset, {1}: p - 1 is not factored
-    axes[j] = [pow(zeta, k, p) for k in range(g)]
+    out = []
+    for j in (j for j, x in enumerate(a) if x):
+        g = math.gcd(abs(a[j]) // math.gcd(*a), p - 1)
+        least: dict[int, int] = {}
+        x = 1
+        while len(least) < g:
+            least.setdefault(pow(x, (p - 1) // g, p), x)
+            x += 1
+        axes = [range(1, p)] * n
+        axes[j] = list(least.values())
+        out.append((axes, g))
+    return out or [([range(1, p)] * n, p - 1)]
+
+
+def _torus_slice(a, n: int, p: int) -> tuple[list, int]:
+    """The smallest of ``_slices`` (ties to the first), and the number
+    (p-1)/g of torus points each of its points stands for."""
+    axes, g = min(_slices(a, n, p), key=lambda s: s[1])
     return axes, (p - 1) // g
 
 
@@ -139,37 +151,26 @@ def _failures(jac: list[list[IntPolynomial]], coords: list[np.ndarray], p: int, 
     return [(tuple(x[k] for x in points), ranks[m]) for k, m in enumerate(matrices) if ranks[m] != target]
 
 
-def _least_image(failures, a, p: int) -> tuple[tuple[int, ...], int]:
-    """The least (t.z, rank) over t in F_p^x and the failing slice points z:
-    the first failure on the whole torus (see the module docstring).  If
-    t -> t^(a'_j) is onto, j the first nonzero coordinate of a' = a / gcd(a),
-    z's least image has 1 at j, from t = z_j^(-1/a'_j): none before j moves."""
-    c = math.gcd(*a)
-    w = [x // c for x in a] if c else a
-    j = next((i for i, x in enumerate(w) if x), 0)
-    if c and math.gcd(w[j], p - 1) == 1:
-        e = -pow(w[j], -1, p - 1)
-        return min((tuple(pow(z[j], e * x, p) * y % p for x, y in zip(w, z)), r) for z, r in failures)
-    scales = [[pow(t, x, p) for x in w] for t in range(1, p)] if c else [[1] * len(a)]
-    return min((tuple(s * x % p for s, x in zip(scale, z)), r) for scale in scales for z, r in failures)
-
-
 def _scan(sys: PolySystem, a, p: int, budget: int, what: str) -> tuple[tuple[int, int], tuple[tuple[int, ...], int] | None]:
     """((c_open, c_closed), first failure on the torus or None) for the face
     system of direction a over F_p.
 
-    The budget is checked at a's slice size on every call.  The scan itself
-    runs once per face system and prime: both results depend only on the
-    face polynomials (see the module docstring), so they are kept on ``sys``
-    under the face system's content and shared by every direction and
-    caller that meets it.
+    The budget is checked on every call at a's slice size, and at the size
+    of the slice at a's first nonzero coordinate when that is larger and
+    the face system fails.  The scan itself runs once per face system and
+    prime: both results depend only on the face polynomials, so they are
+    kept on ``sys`` under the face system's content and shared by every
+    direction and caller that meets it.
     """
     axes, weight = _torus_slice(a, sys.n, p)
-    check_budget((p - 1) ** sys.n // weight, budget, what)
+    lead, g_lead = _slices(a, sys.n, p)[0]
+    rest, g = (p - 1) ** (sys.n - 1), (p - 1) // weight
+    check_budget(g * rest, budget, what)
     faces = [face_function(f, a) for f in sys.polys]
     key = (p, _content(faces))
     if key not in sys.scans:
         jac = _jacobian(faces)
+        target = min(sys.l, sys.n)
         c_open = c_closed = 0
         failures = []
         for coords in product_chunks(axes):
@@ -177,9 +178,13 @@ def _scan(sys: PolySystem, a, p: int, budget: int, what: str) -> tuple[tuple[int
             common = grid_zeros(faces[-1:], head, p)
             c_closed += len(common[0])
             c_open += len(head[0]) - len(common[0])
-            failures += _failures(jac, common, p, min(sys.l, sys.n))
-        first = _least_image(failures, a, p) if failures else None
-        sys.scans[key] = ((weight * c_open, weight * c_closed), first)
+            failures += _failures(jac, common, p, target)
+        if failures and g_lead > g:
+            check_budget(g_lead * rest, budget, what)
+            failures = [z for coords in product_chunks(lead) for z in _failures(jac, grid_zeros(faces, coords, p), p, target)]
+        sys.scans[key] = ((weight * c_open, weight * c_closed), min(failures, default=None))
+    elif sys.scans[key][1] is not None and g_lead > g:
+        check_budget(g_lead * rest, budget, what)
     return sys.scans[key]
 
 

@@ -250,8 +250,6 @@ def _times_factors(poly: dict[int, Fraction], factors: Counter, q: int) -> dict[
 def _divide_by_factor(num: dict[int, Fraction], factor: Factor, q: int) -> dict[int, Fraction] | None:
     """Exact quotient num / (1 - q^a t^b), or None if not divisible."""
     a, b = factor
-    if not num:
-        return {}
     deg = max(num)
     qa = qpow(q, a)
     quo: dict[int, Fraction] = {}

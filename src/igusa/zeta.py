@@ -128,9 +128,10 @@ def compute_L(sys: PolySystem, ctx: PrimeContext, direction, budget: int = DEFAU
 def candidate_poles(sys: PolySystem) -> CandidatePoles:
     """Theorem-level candidate pole lines from the fan skeleton.
 
-    For each strictly positive skeleton ray a with d(a, Gamma_l) != 0 the
-    line -(sigma(a) - sum_{j<l} d(a, Gamma_j)) / d(a, Gamma_l) with period
-    d(a, Gamma_l); plus the line at -1 with period 1.  gamma_f maximises
+    For each strictly positive skeleton ray a the line
+    -(sigma(a) - sum_{j<l} d(a, Gamma_j)) / d(a, Gamma_l) with period
+    d(a, Gamma_l), which is at least 1 as ``PolySystem`` refuses constant
+    terms; plus the line at -1 with period 1.  gamma_f maximises
     over rays with sigma(a) - sum_{j<l} d(a, Gamma_j) > 0.
     """
     lines: dict[Fraction, CandidateLine] = {}
@@ -140,8 +141,6 @@ def candidate_poles(sys: PolySystem) -> CandidatePoles:
         if not all(x > 0 for x in ray):
             continue
         a, d_l = _exponent_pair(ray, sys)
-        if d_l == 0:
-            continue
         re = Fraction(a, d_l)
         if re in lines:
             line = lines[re]

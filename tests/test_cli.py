@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -741,7 +742,7 @@ class TestMain:
     def test_one_variable_huge_prime_exit_4(self, tmp_path, capsys, prime):
         # Refused with one JSON line, not a traceback from allocating the axis.
         # The second p - 1 is 2 * 100000007 * 100000393: the one-point slice
-        # needs no primitive root, so p - 1 is not trial-divided up to 10^8.
+        # factors nothing, so p - 1 is not trial-divided up to 10^8.
         job = JOB_ONE_VAR_HUGE_PRIME.replace("1000000000000000003", prime)
         assert main(["check", "--input", _write(tmp_path, job)]) == 4
         err = capsys.readouterr().err
@@ -756,3 +757,46 @@ class TestMain:
         assert len(blob["fan"]["skeleton"]) == 17 and blob["fan"]["cone_count"] == 91
         assert blob["oracle"]["congruence"]["N"] == {"0": "1", "1": "15", "2": "275"}
         assert any(c["name"] == "poincare_vs_congruence" and c["passed"] for c in blob["checks"])
+
+
+# ---------------------------------------------------------------------------
+# Pinned reports: a change to the report format updates these files
+# ---------------------------------------------------------------------------
+
+PINNED = Path(__file__).resolve().parent / "pinned"
+FLOAT_TOL = 1e-9
+
+
+def _leaf_diffs(expected, actual, path="$") -> list[str]:
+    """Paths where two JSON documents differ: floats by more than FLOAT_TOL,
+    any other leaf at all (type included)."""
+    if type(expected) is float and type(actual) is float:
+        return [] if abs(expected - actual) <= FLOAT_TOL else [path]
+    if isinstance(expected, dict) and isinstance(actual, dict) and expected.keys() == actual.keys():
+        return [d for k in expected for d in _leaf_diffs(expected[k], actual[k], f"{path}.{k}")]
+    if isinstance(expected, list) and isinstance(actual, list) and len(expected) == len(actual):
+        return [d for i, (e, a) in enumerate(zip(expected, actual)) for d in _leaf_diffs(e, a, f"{path}[{i}]")]
+    return [] if type(expected) is type(actual) and expected == actual else [path]
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize(
+        "name,job,mode,code",
+        [("line-all", JOB_LINE, "all", 0), ("degenerate-check", JOB_DEGENERATE, "check", 2),
+         ("not-convenient-poles", JOB_NOT_CONVENIENT, "poles", 2)],
+    )
+    def test_report_matches_pin(self, name, job, mode, code):
+        # line-all has every section, the Poincare rows and the prop3
+        # residual; degenerate-check a witness; not-convenient-poles
+        # candidates only, with both engine refusals.
+        config = parse_config(job)
+        config.mode = mode
+        report, exit_code = run(config)
+        expected = json.loads((PINNED / f"{name}.json").read_text(encoding="utf-8"))
+        assert _leaf_diffs(expected, json.loads(report_json(report))) == []
+        assert exit_code == code
+
+    def test_float_leaves_compare_within_tolerance(self):
+        assert _leaf_diffs({"a": [1.0, "1/3"]}, {"a": [1.0 + 1e-12, "1/3"]}) == []
+        assert _leaf_diffs({"a": [1.0, "1/3"]}, {"a": [1.0, "2/6"]}) == ["$.a[1]"]
+        assert _leaf_diffs({"a": 1}, {"a": 1.0}) == ["$.a"]

@@ -11,6 +11,7 @@ import pytest
 from igusa import counting
 from igusa.counting import (
     NondegWitness,
+    _slices,
     _torus_slice,
     check_good_reduction,
     check_nondegenerate,
@@ -403,14 +404,14 @@ def _square(h):
     return IntPolynomial(h.n, out)
 
 
-def _degenerate_system(rng, n):
-    """f_l = h^2 + x_1^D + ... + x_n^D with h of equal weight a > 0, so the
-    face of f_l in direction a is h^2, singular wherever h vanishes; for
-    n = 3, f_1 is a linear form."""
-    while True:
+def _degenerate_system(rng, n, a=None):
+    """f_l = h^2 + x_1^D + ... + x_n^D with h of equal weight a > 0 (random
+    unless given), so the face of f_l in direction a is h^2, singular
+    wherever h vanishes; for n = 3, f_1 is a linear form."""
+    while a is None:
         a = tuple(rng.randint(1, 3) for _ in range(n))
-        if math.gcd(*a) == 1:
-            break
+        if math.gcd(*a) != 1:
+            a = None
     levels = {}
     for m in product(range(4), repeat=n):
         levels.setdefault(_dot(a, m), []).append(m)
@@ -430,8 +431,8 @@ def _in_slice(s, p, w):
 
 
 class TestSlicedWitness:
-    """The witness is the least image of a slice's failures under the torus
-    action, and still the full-torus reference's."""
+    """The witness is the least failure on the slice at the first nonzero
+    coordinate, and still the full-torus reference's."""
 
     @pytest.mark.parametrize("at_origin", [False, True])
     @pytest.mark.parametrize("p", [5, 7, 13])
@@ -480,17 +481,50 @@ class TestSlicedWitness:
         assert (w.direction, w.point, w.rank) == ((4, 2), (1, 2), 0)
         assert verify_witness(s, ctx, w)
 
-    def test_least_image_over_every_t(self):
-        # One t per failure where t -> t^(a'_j) is onto F_p^x, every t where
-        # it is not: both give the least image over all of F_p^x.
-        rng = random.Random(22)
-        for _ in range(300):
-            p, n = rng.choice([3, 5, 7, 11, 13]), rng.choice([1, 2, 3])
-            a = tuple(rng.choice([0, 1, 2, 3, 4, 6]) for _ in range(n))
-            failures = [(tuple(rng.randrange(1, p) for _ in range(n)), rng.randrange(2)) for _ in range(rng.randrange(1, 4))]
-            c = math.gcd(*a) or 1
-            least = min((tuple(pow(t, x // c, p) * y % p for x, y in zip(a, z)), r) for t in range(1, p) for z, r in failures)
-            assert counting._least_image(failures, a, p) == least, (failures, a, p)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_lead_slice_witness(self, n):
+        # Directions whose first nonzero coordinate has a larger g than the
+        # slice's coordinate: that slice need not hold the orbits' least
+        # points, and the witness comes from the rescan of the lead slice,
+        # the one at the first nonzero coordinate.
+        directions = {2: [(2, 1), (2, 3)], 3: [(2, 1, 1), (2, 1, 2), (2, 3, 2), (4, 2, 1)]}[n]
+        rescanned = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            s = _degenerate_system(rng, n, rng.choice(directions))
+            for p in (5, 7, 13) if n == 2 else (5, 7):
+                ctx = PrimeContext(p)
+                for at_origin in (False, True):
+                    cert = check_nondegenerate(s, ctx, at_origin=at_origin)
+                    expected = reference_witness(s, ctx, at_origin)
+                    if expected is None:
+                        assert cert.ok and cert.witness is None
+                        continue
+                    w = cert.witness
+                    assert not cert.ok and (w.direction, w.point, w.rank) == expected, (seed, p, at_origin)
+                    assert verify_witness(s, ctx, w)
+                    rescanned += _slices(w.direction, n, p)[0][1] * _torus_slice(w.direction, n, p)[1] > p - 1
+        assert rescanned > 0
+
+    def test_lead_rescan_points(self, monkeypatch):
+        # (y^2 - x)^2 + z^4 at p = 1009 first fails at direction (2, 1, 2),
+        # whose slice sits at y (g = 1) and lead slice at x (g = 2): the
+        # certificate scans each direction's slice and one lead slice.
+        s = PolySystem(3, [parse_polynomial("y^4 - 2*y^2*x + x^2 + z^4", V3)])
+        p = 1009
+        scanned = []
+
+        def counted(axes):
+            scanned.append(math.prod(len(x) for x in axes))
+            return product_chunks(axes)
+
+        monkeypatch.setattr(counting, "product_chunks", counted)
+        w = check_nondegenerate(s, PrimeContext(p), at_origin=True).witness
+        assert (w.direction, w.point, w.rank) == ((2, 1, 2), (1, 1, 1), 0)
+        directions = [a for a in (cone.interior_point() for cone in dual_subdivision(s).cones) if all(x > 0 for x in a)]
+        slices = sum(math.prod(len(x) for x in _torus_slice(a, 3, p)[0]) for a in directions)
+        assert sum(scanned) <= slices + 2 * (p - 1) ** 2
+        assert scanned[-1] == 2 * (p - 1) ** 2
 
     def test_every_slice_point_fails(self):
         # (x - y)^2 + z^4 at p = 1009: directions (0, 0, 1) and (2, 2, 2) fail
@@ -656,3 +690,18 @@ class TestScanMemo:
             required, message = _refusal(lambda: check_good_reduction(s, ctx, budget=p**s.n - 1))
             assert (required, message) == _refusal(lambda: check_good_reduction(PolySystem(s.n, s.polys), ctx, budget=p**s.n - 1))
             assert required == p**s.n
+
+    def test_filled_scan_keeps_the_lead_slice_budget(self, monkeypatch):
+        # (x^3 - y^2)^2 at p = 5, direction (2, 3): the slice at y has 4
+        # points and the lead slice at x 8, which the witness needs.  A
+        # budget of 6 admits the first only, on a fresh and a filled system.
+        s = PolySystem(2, [parse_polynomial("x^6 - 2*x^3*y^2 + y^4", V2)])
+        ctx = PrimeContext(5)
+        one = SimpleNamespace(cones=[SimpleNamespace(interior_point=lambda: (2, 3))])
+        monkeypatch.setattr(counting.fan_mod, "dual_subdivision", lambda t: one)
+        fresh = _refusal(lambda: check_nondegenerate(PolySystem(s.n, s.polys), ctx, budget=6))
+        assert fresh[0] == 8
+        cert = check_nondegenerate(s, ctx, budget=8)
+        assert s.scans and not cert.ok
+        assert _refusal(lambda: check_nondegenerate(s, ctx, budget=6)) == fresh
+        assert check_nondegenerate(s, ctx, budget=8) == cert == check_nondegenerate(PolySystem(s.n, s.polys), ctx, budget=8)

@@ -22,6 +22,7 @@ from igusa.oracle import (
     prop3_residual,
 )
 from igusa.polycore import IntPolynomial, PolySystem, PrimeContext, eval_on_grid, evaluate_mod, parse_polynomial
+from igusa.ratfun import FactoredRationalFunction
 
 V2 = ["x", "y"]
 V3 = ["x", "y", "z"]
@@ -206,6 +207,13 @@ class TestLemma1A:
         tag, val = lemma1A_eval(sys_line(), PrimeContext(5), (1, 4), 1, (0, 0))
         assert tag == "unit_times_tk"
         assert val.num == {0: Fraction(1, 5)}
+
+    def test_positive_order_case(self):
+        # f_l = x + y at (1, 4) is 5 mod 125: order k = 1 below m = 3.
+        s = PolySystem(2, [parse_polynomial("x+y", V2)])
+        tag, val = lemma1A_eval(s, PrimeContext(5), (1, 4), 3, (1, 1))
+        assert tag == "unit_times_tk"
+        assert val == FactoredRationalFunction(5, {1: Fraction(1, 5**6)})
 
     def test_closed_case(self):
         s = PolySystem(2, [parse_polynomial("x+y", V2), parse_polynomial("x^2-y^2", V2)])

@@ -295,6 +295,12 @@ class TestZeta:
         with pytest.raises(HypothesisError):
             zeta_full(s, PrimeContext(5))
 
+    @pytest.mark.parametrize("engine", [zeta_full, zeta_origin])
+    def test_refuses_one_polynomial(self, engine):
+        s = PolySystem(2, [parse_polynomial("x^2+y^3", V2)])
+        with pytest.raises(HypothesisError, match="2 <= l <= n"):
+            engine(s, PrimeContext(5))
+
     def test_refuses_degenerate_with_witness(self):
         # (x+y+z^2, x^2+y^2+z^4) is degenerate at p=3: the full system has a
         # rank-1 torus zero.
