@@ -30,7 +30,7 @@ from .ratfun import FactoredRationalFunction
 
 MODES = ("zeta", "zeta0", "poles", "poincare", "expsum", "congruence", "check", "all")
 # Each job-file key and the JobConfig field it sets; JobConfig holds the defaults.
-_FIELDS = {"vars": "variables", "prime": "prime", "mode": "mode", "depth": "oracle_depth",
+_FIELDS = {"vars": "variables", "prime": "prime", "depth": "oracle_depth",
            "expsum_levels": "expsum_levels", "budget": "budget", "output": "output"}
 KEYS = tuple(_FIELDS)
 
@@ -95,8 +95,6 @@ def parse_config(text: str) -> JobConfig:
     except ValueError as exc:
         raise ConfigError(f"bad numeric value: {exc}") from exc
     cfg = JobConfig(polys=polys, **fields)
-    if cfg.mode not in MODES:
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.output not in ("text", "json"):
         raise ConfigError(f"unknown output format {cfg.output!r}")
     return cfg
@@ -162,6 +160,8 @@ def run(config: JobConfig) -> tuple[dict, int]:
         "checks": [],
     }
 
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}")
     # A depth or level below 1 leaves a check nothing to compare but the
     # always-equal m = 0 row; a budget below 1 admits no enumeration at all.
     limits = {"depth": config.oracle_depth, "expsum_levels": config.expsum_levels, "budget": config.budget}
@@ -176,14 +176,12 @@ def run(config: JobConfig) -> tuple[dict, int]:
         raise ConfigError(str(exc)) from exc
     if sys_.n > newton.MAX_DIMENSION:
         raise ConfigError(f"{sys_.n} variables exceed the supported cap {newton.MAX_DIMENSION}")
-    if mode != "check" and sys_.l < 2:
-        raise ConfigError(f"mode {mode!r} needs 2 <= l <= n, got l={sys_.l}")
     budget = config.budget
 
     conv = is_convenient(sys_)
     cert_global = counting.check_nondegenerate(sys_, ctx, at_origin=False, budget=budget)
     cert_origin = counting.check_nondegenerate(sys_, ctx, at_origin=True, budget=budget)
-    good_red = counting.check_good_reduction(sys_, ctx, budget) if sys_.l >= 2 else None
+    good_red = counting.check_good_reduction(sys_, ctx, budget)
     report["certificates"] = {
         "convenient": {"ok": conv.convenient, "missing": conv.missing},
         "nondegenerate": _cert_json(cert_global),
@@ -199,7 +197,7 @@ def run(config: JobConfig) -> tuple[dict, int]:
     }
 
     if mode == "check":
-        ok = conv.convenient and cert_global.ok and cert_origin.ok and (good_red is not False)
+        ok = conv.convenient and cert_global.ok and cert_origin.ok and good_red
         _check(report, "hypotheses", ok, report["certificates"])
         return _json_value(report), _exit_code(report)
 
@@ -420,16 +418,16 @@ def main(argv=None) -> int:
         if args.depth is not None:
             config.oracle_depth = args.depth
         report, code = run(config)
+        if args.json_path:
+            try:
+                with open(args.json_path, "w", encoding="utf-8") as fh:
+                    fh.write(report_json(report))
+            except OSError as exc:
+                raise ConfigError(f"cannot write JSON report {args.json_path!r}: {exc}") from exc
     except IgusaError as exc:
         sys.stderr.write(json.dumps(exc.detail(), sort_keys=True) + "\n")
         return exc.exit_code
-    if config.output == "json":
-        sys.stdout.write(report_json(report))
-    else:
-        sys.stdout.write(render_text(report))
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(report_json(report))
+    sys.stdout.write(report_json(report) if config.output == "json" else render_text(report))
     return code
 
 

@@ -170,7 +170,6 @@ def _scan(sys: PolySystem, a, p: int, budget: int, what: str) -> tuple[tuple[int
     key = (p, _content(faces))
     if key not in sys.scans:
         jac = _jacobian(faces)
-        target = min(sys.l, sys.n)
         c_open = c_closed = 0
         failures = []
         for coords in product_chunks(axes):
@@ -178,10 +177,10 @@ def _scan(sys: PolySystem, a, p: int, budget: int, what: str) -> tuple[tuple[int
             common = grid_zeros(faces[-1:], head, p)
             c_closed += len(common[0])
             c_open += len(head[0]) - len(common[0])
-            failures += _failures(jac, common, p, target)
+            failures += _failures(jac, common, p, sys.l)
         if failures and g_lead > g:
             check_budget(g_lead * rest, budget, what)
-            failures = [z for coords in product_chunks(lead) for z in _failures(jac, grid_zeros(faces, coords, p), p, target)]
+            failures = [z for coords in product_chunks(lead) for z in _failures(jac, grid_zeros(faces, coords, p), p, sys.l)]
         sys.scans[key] = ((weight * c_open, weight * c_closed), min(failures, default=None))
     elif sys.scans[key][1] is not None and g_lead > g:
         check_budget(g_lead * rest, budget, what)
@@ -200,7 +199,7 @@ def check_nondegenerate(
     integer representative per cone covers every positive vector; a = 0 is
     added in the global case (the paper's "including the origin").  For
     each representative direction, every common torus zero of all l face
-    polynomials must have Jacobian rank min(l, n).  One orbit slice is
+    polynomials must have Jacobian rank l.  One orbit slice is
     scanned per face system (``_scan``), and the first failure on the whole
     torus is returned as an independently checkable witness.
     """
@@ -229,7 +228,7 @@ def verify_witness(sys: PolySystem, ctx: PrimeContext, witness: NondegWitness) -
         return False
     if any(g.evaluate_mod(witness.point, ctx.p) != 0 for g in faces):
         return False
-    return jacobian_rank(faces, witness.point, ctx) == witness.rank < min(sys.l, sys.n)
+    return jacobian_rank(faces, witness.point, ctx) == witness.rank < sys.l
 
 
 def check_good_reduction(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAULT_ENUM_BUDGET) -> bool:
@@ -237,13 +236,14 @@ def check_good_reduction(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAU
 
     True iff the Jacobian of the first l-1 polynomials has rank l-1 at every
     solution in the full affine space F_p^n.  The verdict is kept on ``sys``
-    per prime and head; the budget is checked at p^n on every call.
+    per prime and head; the budget is checked at p^n on every call.  An
+    empty head (l = 1) cuts out F_p^n itself, which is smooth: no scan.
     """
-    if sys.l < 2:
-        raise ValueError("good reduction concerns the first l-1 polynomials; need l >= 2")
+    head = sys.polys[:-1]
+    if not head:
+        return True
     p = ctx.p
     check_budget(p**sys.n, budget, "good-reduction enumeration")
-    head = sys.polys[:-1]
     key = (p, "good reduction", _content(head))
     if key not in sys.scans:
         jac = _jacobian(head)

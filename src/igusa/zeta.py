@@ -155,8 +155,6 @@ def candidate_poles(sys: PolySystem) -> CandidatePoles:
 
 
 def _require_engine_hypotheses(sys: PolySystem, ctx: PrimeContext, at_origin: bool, budget: int) -> NondegCertificate:
-    if sys.l < 2:
-        raise HypothesisError("the zeta engine needs 2 <= l <= n")
     report = is_convenient(sys)
     if not report.convenient:
         raise HypothesisError(

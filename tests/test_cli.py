@@ -10,7 +10,6 @@ from igusa.newton import MAX_DIMENSION
 JOB_72 = """\
 vars = x, y
 prime = 5
-mode = zeta0
 depth = 3
 
 [polys]
@@ -175,7 +174,7 @@ class TestConfig:
         cfg = parse_config(JOB_72)
         assert cfg.variables == ["x", "y"]
         assert cfg.polys == ["x^2 + y^2", "x^4 + y^4 + x*y"]
-        assert cfg.prime == 5 and cfg.mode == "zeta0" and cfg.oracle_depth == 3
+        assert cfg.prime == 5 and cfg.mode == "all" and cfg.oracle_depth == 3
 
     def test_missing_keys(self):
         from igusa.cli import ConfigError
@@ -211,9 +210,10 @@ class TestConfig:
         [("prime = 5", "prime 5", "line 2: expected key=value or [polys] block"),
          ("prime = 5\n", "", "missing 'prime' key"),
          ("depth = 3", "depth = three\nbudget = lots", "bad numeric value: invalid literal for int() with base 10: 'three'"),
-         ("mode = zeta0", "mode = zeta1", "unknown mode 'zeta1'"),
+         ("depth = 3", "depth = 3\nmode = zeta0",
+          "line 4: unknown key 'mode'; the keys are vars, prime, depth, expsum_levels, budget, output"),
          ("depth = 3", "depth = 3\noutput = xml", "unknown output format 'xml'")],
-        ids=["not-key-value", "no-prime", "bad-number", "unknown-mode", "unknown-output"],
+        ids=["not-key-value", "no-prime", "bad-number", "mode-key", "unknown-output"],
     )
     def test_bad_job_file_exit_1(self, tmp_path, capsys, old, new, message):
         assert main(["zeta0", "--input", _write(tmp_path, JOB_72.replace(old, new))]) == 1
@@ -235,6 +235,7 @@ class TestConfig:
 class TestRun:
     def test_zeta0_example_72(self):
         cfg = parse_config(JOB_72)
+        cfg.mode = "zeta0"
         report, code = run(cfg)
         assert code == 0
         z = report["zeta"]
@@ -292,6 +293,15 @@ class TestRun:
         cfg = parse_config(JOB_72)
         cfg.prime = prime
         with pytest.raises(ConfigError, match="odd prime"):
+            run(cfg)
+
+    def test_unknown_mode_is_config_error(self):
+        # The command sets the mode, so only an in-process caller can give a bad one.
+        from igusa.cli import ConfigError
+
+        cfg = parse_config(JOB_72)
+        cfg.mode = "zeta1"
+        with pytest.raises(ConfigError, match="unknown mode 'zeta1'"):
             run(cfg)
 
     @pytest.mark.parametrize(
@@ -387,19 +397,23 @@ class TestRun:
         _, code = run(cfg)
         assert code == 0 and sum(tested) == points
 
+    @staticmethod
+    def _run_zeta0(job):
+        cfg = parse_config(job)
+        cfg.mode = "zeta0"
+        return run(cfg)
+
     def test_report_determinism(self):
-        cfg1 = parse_config(JOB_72)
-        cfg2 = parse_config(JOB_72)
-        r1, _ = run(cfg1)
-        r2, _ = run(cfg2)
+        r1, _ = self._run_zeta0(JOB_72)
+        r2, _ = self._run_zeta0(JOB_72)
         assert report_json(r1) == report_json(r2)
 
     def test_json_top_level_keys(self):
-        report, _ = run(parse_config(JOB_72))
+        report, _ = self._run_zeta0(JOB_72)
         assert set(report) == {"config", "certificates", "fan", "zeta", "poles", "oracle", "checks"}
 
     def test_numbers_are_exact_strings(self):
-        report, _ = run(parse_config(JOB_72))
+        report, _ = self._run_zeta0(JOB_72)
         blob = json.loads(report_json(report))
         for coeff in blob["zeta"]["value"]["numerator"].values():
             assert isinstance(coeff, str)
@@ -628,10 +642,34 @@ class TestMain:
         assert w == {"direction": [2, 3], "point": [1, 1], "rank": 0}
 
     def test_cli_zeta_on_degenerate_exit_2(self, tmp_path):
-        # engine modes refuse l=1 input as a config error
+        # One polynomial (l = 1) reaches the engine, which refuses it as degenerate.
         path = _write(tmp_path, JOB_DEGENERATE)
         code = main(["zeta", "--input", path])
-        assert code == 1
+        assert code == 2
+
+    def test_unwritable_json_path_exit_1(self, tmp_path, capsys):
+        # One JSON line on stderr naming the path, not a traceback after the run.
+        out_json = tmp_path / "missing" / "report.json"
+        assert main(["zeta0", "--input", _write(tmp_path, JOB_72), "--json", str(out_json)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        detail = json.loads(captured.err)
+        assert detail["error"] == "ConfigError" and str(out_json) in detail["message"]
+
+    @pytest.mark.parametrize("prime", [5, 7])
+    def test_cusp_all_exit_0(self, tmp_path, prime):
+        # Igusa's zeta function of x^2 + y^3 (l = 1): poles -1 and -5/6,
+        # the cusp's log-canonical threshold, checked against the oracles.
+        out_json = tmp_path / "report.json"
+        job = f"vars = x, y\nprime = {prime}\n[polys]\nx^2 + y^3\n"
+        assert main(["all", "--input", _write(tmp_path, job), "--json", str(out_json)]) == 0
+        blob = json.loads(out_json.read_text())
+        assert blob["poles"]["actual"] == [
+            {"re": "-1", "period": 1, "multiplicity": 1}, {"re": "-5/6", "period": 6, "multiplicity": 1}
+        ]
+        assert {c["name"] for c in blob["checks"] if c["passed"]} == {
+            "pole_containment", "poincare_vs_congruence", "prop3_residual"
+        }
 
     def test_json_output_on_stdout(self, tmp_path, capsys):
         out_json = tmp_path / "report.json"

@@ -211,9 +211,10 @@ class TestGoodReduction:
         s = PolySystem(2, [parse_polynomial("x+y", V2), parse_polynomial("x^2+y^2", V2)])
         assert check_good_reduction(s, PrimeContext(3))
 
-    def test_l1_rejected(self):
-        with pytest.raises(ValueError):
-            check_good_reduction(degenerate_curve(), PrimeContext(3))
+    def test_empty_head_is_smooth(self, monkeypatch):
+        # With l = 1 the head cuts out all of F_p^n: no scan and no budget.
+        monkeypatch.setattr(counting, "product_chunks", lambda axes: pytest.fail("scanned"))
+        assert check_good_reduction(degenerate_curve(), PrimeContext(3), budget=1)
 
     def test_constant_jacobian_ranked_once(self, monkeypatch):
         # The head x+y-z has a constant Jacobian: one rank for its 529 zeros.
@@ -662,9 +663,8 @@ class TestScanMemo:
             tc = torus_count(s, a, ctx)
             assert tc == torus_count(PolySystem(s.n, s.polys), a, ctx)
             assert (tc.c_open, tc.c_closed) == full_grid_torus_count(s, a, p), a
-        if s.l >= 2:
-            verdict = check_good_reduction(s, ctx)
-            assert check_good_reduction(s, ctx) == verdict == check_good_reduction(PolySystem(s.n, s.polys), ctx)
+        verdict = check_good_reduction(s, ctx)
+        assert check_good_reduction(s, ctx) == verdict == check_good_reduction(PolySystem(s.n, s.polys), ctx)
 
     @pytest.mark.parametrize("system,p", _memo_cases())
     def test_filled_scans_keep_the_budget(self, system, p, monkeypatch):
@@ -673,8 +673,7 @@ class TestScanMemo:
         directions = [barycenter(cone) for cone in triangulate(dual_subdivision(s)).cones] + [(0,) * s.n]
         for a in directions:
             torus_count(s, a, ctx)
-        if s.l >= 2:
-            check_good_reduction(s, ctx)
+        check_good_reduction(s, ctx)
         for a in directions:
             size = math.prod(len(x) for x in _torus_slice(a, s.n, p)[0])
             one = SimpleNamespace(cones=[SimpleNamespace(interior_point=lambda a=a: a)])
@@ -686,7 +685,7 @@ class TestScanMemo:
                 required, message = _refusal(lambda: call(s))
                 assert (required, message) == _refusal(lambda: call(PolySystem(s.n, s.polys)))
                 assert required == size
-        if s.l >= 2:
+        if s.l >= 2:  # an empty head is smooth without a scan, so it has no budget to keep
             required, message = _refusal(lambda: check_good_reduction(s, ctx, budget=p**s.n - 1))
             assert (required, message) == _refusal(lambda: check_good_reduction(PolySystem(s.n, s.polys), ctx, budget=p**s.n - 1))
             assert required == p**s.n

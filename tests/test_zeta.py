@@ -296,10 +296,36 @@ class TestZeta:
             zeta_full(s, PrimeContext(5))
 
     @pytest.mark.parametrize("engine", [zeta_full, zeta_origin])
-    def test_refuses_one_polynomial(self, engine):
-        s = PolySystem(2, [parse_polynomial("x^2+y^3", V2)])
-        with pytest.raises(HypothesisError, match="2 <= l <= n"):
-            engine(s, PrimeContext(5))
+    def test_one_polynomial_poles(self, engine):
+        # l = 1 is Igusa's zeta function: the cusp's poles are -1 and -5/6
+        # (its log-canonical threshold), and x^2 + y^3 + z^5's -31/30.
+        cusp = [(Fraction(-1), 1, 1), (Fraction(-5, 6), 6, 1)]
+        for f, names, p, lines in [("x^2+y^3", V2, 5, cusp), ("x^2+y^3", V2, 7, cusp),
+                                   ("x^2+y^3+z^5", V3, 5, [(Fraction(-31, 30), 30, 1), (Fraction(-1), 1, 1)])]:
+            rep = engine(PolySystem(len(names), [parse_polynomial(f, names)]), PrimeContext(p))
+            assert [(line.re, line.period, line.multiplicity) for line in rep.actual_poles] == lines, (f, p)
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_cusp_matches_closed_form(self, p):
+        # Igusa's Z for x^2 + y^3:
+        # (1 - p^-1)(1 - p^-2 t + p^-2 t^2 - p^-5 t^5) / ((1 - p^-1 t)(1 - p^-5 t^6)).
+        c = 1 - Fraction(1, p)
+        expected = FRF(p, {0: c, 1: -c / p**2, 2: c / p**2, 5: -c / p**5}, {(-1, 1): 1, (-5, 6): 1})
+        assert zeta_full(PolySystem(2, [parse_polynomial("x^2+y^3", V2)]), PrimeContext(p)).zeta == expected
+
+    @pytest.mark.parametrize(
+        "names, head, f, g, p",
+        [(V3, "x+y+z", "x^2+3*y^2+5*z^2", "6*x^2+10*x*y+8*y^2", p) for p in (5, 7, 11, 13)]
+        + [(V4, "x + 2*y + z^2 - w", "x^2 + 3*y^2 + z^2 + 2*w^2",
+            "3*x^2+8*x*y+4*x*z^2+11*y^2+8*y*z^2+z^2+2*z^4", p) for p in (5, 13)],
+    )
+    def test_unit_linear_head_eliminated(self, names, head, f, g, p):
+        # g is f with the head solved for the last variable: the l = 2
+        # system and the one polynomial in n - 1 variables share Z and Z_0.
+        pair = PolySystem(len(names), [parse_polynomial(head, names), parse_polynomial(f, names)])
+        one = PolySystem(len(names) - 1, [parse_polynomial(g, names[:-1])])
+        for engine in (zeta_full, zeta_origin):
+            assert engine(pair, PrimeContext(p)).zeta == engine(one, PrimeContext(p)).zeta, engine.__name__
 
     def test_refuses_degenerate_with_witness(self):
         # (x+y+z^2, x^2+y^2+z^4) is degenerate at p=3: the full system has a
@@ -383,24 +409,25 @@ class TestPoincare:
     def test_head_measure_below_one_matches_congruence_oracle(self):
         # Half of these heads have measure Z(1) = #V(F_p) / p^(n-l+1) other
         # than 1, where the series needs Z(1) itself, not (1 - tZ) / (1 - t).
-        from igusa.oracle import congruence_table
-
         rng = random.Random(1)
         checked = 0
         for _ in range(20):
             p = rng.choice([3, 5, 7, 11])
-            s, ctx = _random_convenient_system(rng, p), PrimeContext(p)
-            try:
-                rep = zeta_full(s, ctx)
-            except IgusaError:
-                continue
-            if not rep.hypotheses["good_reduction"]:
-                continue
-            counts = congruence_table(s, ctx, 3).counts
-            expected = [Fraction(counts[m], p ** (m * (s.n - s.l + 1))) for m in range(4)]
-            assert poincare_series(s, ctx, report=rep).taylor(3) == expected, (s.polys, p)
-            checked += 1
+            checked += _poincare_checked(_random_convenient_system(rng, p, 2), p)
         assert checked == 10
+
+    def test_one_polynomial_matches_congruence_oracle(self):
+        # l = 1, Igusa's zeta function: the empty head always has good
+        # reduction.  Each oracle level tests p^n lifts per point, so p^n is
+        # kept to 125; p = 7 at n = 3 would take seconds.
+        rng = random.Random(1)
+        checked = 0
+        for _ in range(20):
+            p = rng.choice([3, 5, 7])
+            s = _random_convenient_system(rng, p, 1)
+            if p**s.n <= 125:
+                checked += _poincare_checked(s, p)
+        assert checked == 11
 
     def test_factor_without_q_leaves_z1_undefined(self):
         # (1 - t) / (1 - t^2) keeps 1 - t^2: Z(1) cannot be read off it.
@@ -424,12 +451,31 @@ class TestPoincare:
             assert rate <= float(gamma) + 1e-9
 
 
-def _random_convenient_system(rng, p):
-    """Two polynomials in 2 or 3 variables, each with a pure power of every
+def _poincare_checked(s, p) -> bool:
+    """False if the engine refuses s at p or its head lacks good reduction;
+    else assert that the Poincare series matches the congruence counts to
+    depth 3, and return True."""
+    from igusa.oracle import congruence_table
+
+    ctx = PrimeContext(p)
+    try:
+        rep = zeta_full(s, ctx)
+    except IgusaError:
+        return False
+    if not rep.hypotheses["good_reduction"]:
+        return False
+    counts = congruence_table(s, ctx, 3).counts
+    expected = [Fraction(counts[m], p ** (m * (s.n - s.l + 1))) for m in range(4)]
+    assert poincare_series(s, ctx, report=rep).taylor(3) == expected, (s.polys, p)
+    return True
+
+
+def _random_convenient_system(rng, p, l):
+    """l polynomials in 2 or 3 variables, each with a pure power of every
     variable and up to three mixed terms, coefficients in 1..p-1."""
     names = V3[: rng.choice([2, 3])]
     polys = []
-    for _ in range(2):
+    for _ in range(l):
         terms = {}
         for k in range(len(names)):
             terms[tuple(rng.randint(1, 4) if j == k else 0 for j in range(len(names)))] = rng.randint(1, p - 1)
@@ -463,7 +509,7 @@ class TestReducedZeta:
                    for fs, p in [*COFACTOR_SYSTEMS, LEFTOVER_SYSTEM]]
         for _ in range(40):
             p = rng.choice([3, 5, 7, 11])
-            systems.append((_random_convenient_system(rng, p), p))
+            systems.append((_random_convenient_system(rng, p, 2), p))
         t = sp.Symbol("t")
         values = reduced = 0
         for s, p in systems:
