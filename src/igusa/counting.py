@@ -29,12 +29,17 @@ face system fails, that slice is scanned too, within the budget.
 
 One pass over a slice gives the head zeros (c_open + c_closed), the common
 zeros (c_closed) and the first failure.  All three depend only on the face
-polynomials, so each face system is scanned once per prime and the result
-is kept on the ``PolySystem`` (``_scan``): every certificate and every
-``torus_count`` call whose direction has that face system reads it.  Good
-reduction is kept the same way.  The budget is still checked at each
-caller's own slice sizes (p^n for good reduction) before the kept result is
-read, so a call refused on a fresh system is refused on a scanned one.
+polynomials, so each face system is scanned at most once per prime and the
+result is kept on the ``PolySystem`` (``_scan``), as is each direction's
+face system, which does not depend on p: every certificate and every
+``torus_count`` call whose direction has that face system reads it.  A face
+with exactly one coefficient prime to p is a unit times a monomial, with no
+torus zero: in the head it leaves nothing to scan, as the last face only the
+head zeros to count.  Good reduction is kept the same way; a head of linear
+forms whose coefficient matrix has rank l-1 mod p is smooth with no scan.
+The budget is still checked at each caller's own slice sizes (p^n for good
+reduction) before the kept result is read, so a call refused on a fresh
+system is refused on a scanned one.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import numpy as np
 from . import fan as fan_mod
 from .errors import DEFAULT_ENUM_BUDGET, check_budget
 from .polycore import IntPolynomial, PolySystem, PrimeContext, eval_on_grid, face_function, grid_zeros
-from .polycore import _content, product_chunks
+from .polycore import _check_grid_modulus, _content, product_chunks
 
 
 @dataclass
@@ -112,23 +117,18 @@ def torus_count(sys: PolySystem, a, ctx: PrimeContext, budget: int = DEFAULT_ENU
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:
     m = [[x % p for x in row] for row in rows]
     rank = 0
-    ncols = len(m[0]) if m else 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(m)) if m[r][col] % p != 0), None)
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = pow(m[row][col], p - 2, p)
-        m[row] = [(x * inv) % p for x in m[row]]
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        m[rank] = [(x * inv) % p for x in m[rank]]
         for r in range(len(m)):
-            if r != row and m[r][col]:
+            if r != rank and m[r][col]:
                 f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[row])]
-        row += 1
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
         rank += 1
-        if row == len(m):
-            break
     return rank
 
 
@@ -144,6 +144,8 @@ def jacobian_rank(polys: list[IntPolynomial], z, ctx: PrimeContext) -> int:
 def _failures(jac: list[list[IntPolynomial]], coords: list[np.ndarray], p: int, target: int) -> list[tuple[tuple[int, ...], int]]:
     """(point, Jacobian rank over F_p) at the points of the coordinate arrays
     whose rank is not ``target``; each distinct value matrix is ranked once."""
+    if not len(coords[0]):
+        return []
     values = [[eval_on_grid(d, coords, p).tolist() for d in row] for row in jac]
     matrices = [tuple(tuple(v[k] for v in row) for row in values) for k in range(len(coords[0]))]
     ranks = {m: _rank_mod_p(m, p) for m in set(matrices)}
@@ -153,35 +155,40 @@ def _failures(jac: list[list[IntPolynomial]], coords: list[np.ndarray], p: int, 
 
 def _scan(sys: PolySystem, a, p: int, budget: int, what: str) -> tuple[tuple[int, int], tuple[tuple[int, ...], int] | None]:
     """((c_open, c_closed), first failure on the torus or None) for the face
-    system of direction a over F_p.
+    system of direction a over F_p, kept on ``sys`` (see the module docstring).
 
     The budget is checked on every call at a's slice size, and at the size
     of the slice at a's first nonzero coordinate when that is larger and
-    the face system fails.  The scan itself runs once per face system and
-    prime: both results depend only on the face polynomials, so they are
-    kept on ``sys`` under the face system's content and shared by every
-    direction and caller that meets it.
+    the face system fails.
     """
-    axes, weight = _torus_slice(a, sys.n, p)
-    lead, g_lead = _slices(a, sys.n, p)[0]
-    rest, g = (p - 1) ** (sys.n - 1), (p - 1) // weight
+    a = tuple(int(x) for x in a)
+    gs = [math.gcd(abs(x) // math.gcd(*a), p - 1) for x in a if x] or [p - 1]
+    g, g_lead, rest = min(gs), gs[0], (p - 1) ** (sys.n - 1)
     check_budget(g * rest, budget, what)
-    faces = [face_function(f, a) for f in sys.polys]
-    key = (p, _content(faces))
+    _check_grid_modulus(p)  # as the grid scan would, even one cut short
+    kept = sys.scans.setdefault(("face systems", _content(sys.polys)), {})
+    if a not in kept:
+        faces = [face_function(f, a) for f in sys.polys]
+        kept[a] = faces, _content(faces)
+    faces, key = kept[a][0], (p, kept[a][1])
     if key not in sys.scans:
-        jac = _jacobian(faces)
+        monomial = [sum(c % p != 0 for c in f.terms.values()) == 1 for f in faces]
         c_open = c_closed = 0
         failures = []
-        for coords in product_chunks(axes):
-            head = grid_zeros(faces[:-1], coords, p)
-            common = grid_zeros(faces[-1:], head, p)
-            c_closed += len(common[0])
-            c_open += len(head[0]) - len(common[0])
-            failures += _failures(jac, common, p, sys.l)
-        if failures and g_lead > g:
-            check_budget(g_lead * rest, budget, what)
-            failures = [z for coords in product_chunks(lead) for z in _failures(jac, grid_zeros(faces, coords, p), p, sys.l)]
-        sys.scans[key] = ((weight * c_open, weight * c_closed), min(failures, default=None))
+        if not any(monomial[:-1]):
+            jac = _jacobian(faces)
+            for coords in product_chunks(_torus_slice(a, sys.n, p)[0]):
+                head = grid_zeros(faces[:-1], coords, p)
+                c_open += len(head[0])
+                if not monomial[-1]:
+                    common = grid_zeros(faces[-1:], head, p)
+                    c_closed += len(common[0])
+                    failures += _failures(jac, common, p, sys.l)
+            if failures and g_lead > g:
+                check_budget(g_lead * rest, budget, what)
+                failures = [z for coords in product_chunks(_slices(a, sys.n, p)[0][0]) for z in _failures(jac, grid_zeros(faces, coords, p), p, sys.l)]
+        weight = (p - 1) // g
+        sys.scans[key] = ((weight * (c_open - c_closed), weight * c_closed), min(failures, default=None))
     elif sys.scans[key][1] is not None and g_lead > g:
         check_budget(g_lead * rest, budget, what)
     return sys.scans[key]
@@ -247,6 +254,9 @@ def check_good_reduction(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAU
     key = (p, "good reduction", _content(head))
     if key not in sys.scans:
         jac = _jacobian(head)
-        chunks = product_chunks([np.arange(p)] * sys.n)
+        # Linear forms have a constant Jacobian: their coefficient matrix.
+        linear = all(sum(m) <= 1 for f in head for m in f.terms)
+        smooth = linear and _rank_mod_p([[d.terms.get((0,) * sys.n, 0) for d in row] for row in jac], p) == sys.l - 1
+        chunks = () if smooth else product_chunks([np.arange(p)] * sys.n)
         sys.scans[key] = not any(_failures(jac, grid_zeros(head, coords, p), p, sys.l - 1) for coords in chunks)
     return sys.scans[key]

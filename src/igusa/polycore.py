@@ -243,6 +243,11 @@ def evaluate_mod(f: IntPolynomial, point, modulus: int) -> int:
 GRID_CHUNK = 1 << 20
 
 
+def _check_grid_modulus(modulus: int) -> None:
+    if modulus * modulus >= 1 << 63:
+        raise ModulusOverflowError(f"modulus {modulus} too large for exact int64 grid evaluation (needs modulus^2 < 2^63)")
+
+
 def eval_on_grid(f: IntPolynomial, coords: list[np.ndarray], modulus: int) -> np.ndarray:
     """Values of f mod modulus at the points with coordinate arrays ``coords``.
 
@@ -250,8 +255,7 @@ def eval_on_grid(f: IntPolynomial, coords: list[np.ndarray], modulus: int) -> np
     has factors below modulus, so modulus^2 < 2^63 is required and checked,
     and the terms, each below modulus < 2^32, are summed before one reduction.
     """
-    if modulus * modulus >= 1 << 63:
-        raise ModulusOverflowError(f"modulus {modulus} too large for exact int64 grid evaluation (needs modulus^2 < 2^63)")
+    _check_grid_modulus(modulus)
     coords = [np.asarray(x, dtype=np.int64) for x in coords]
     # Grid coordinates are usually residues already; reduce only those that are not.
     coords = [x if not x.size or 0 <= x.min() and x.max() < modulus else x % modulus for x in coords]

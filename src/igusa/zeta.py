@@ -47,7 +47,7 @@ from .counting import (
 )
 from .errors import DEFAULT_ENUM_BUDGET, HypothesisError, IgusaError
 from .fan import Cone, barycenter, parallelepiped_points_with_coords
-from .polycore import PolySystem, PrimeContext, is_convenient
+from .polycore import PolySystem, PrimeContext, _content, is_convenient
 from .ratfun import FactoredRationalFunction, PoleLine, qpow
 
 
@@ -93,22 +93,32 @@ def _exponent_pair(v, sys: PolySystem) -> tuple[int, int]:
     return a, b
 
 
+def _ray_pairs(rays, sys: PolySystem) -> list[tuple[int, int]]:
+    """The rays' exponent pairs, each computed once per system and kept on ``sys``."""
+    kept = sys.scans.setdefault(("exponent pairs", _content(sys.polys)), {})
+    return [kept[r] if r in kept else kept.setdefault(r, _exponent_pair(r, sys)) for r in rays]
+
+
 def compute_S(cone: Cone, sys: PolySystem, ctx: PrimeContext) -> FactoredRationalFunction:
     """Lattice-point generating function of the open cone, in the x^v grading.
 
     The numerator runs over the (0,1] parallelepiped points, read off the
-    generators' exponent pairs (see the module docstring); the denominator
-    carries one factor (1 - x^{a_i}) per generator.  Raises ``ValueError``
-    on a cone where x^v is not linear.
+    generators' exponent pairs (see the module docstring) and summed in
+    integers over q^shift; the denominator carries one factor (1 - x^{a_i})
+    per generator.  Raises ``ValueError`` on a cone where x^v is not linear.
     """
-    pairs = [_exponent_pair(g, sys) for g in cone.generators]
+    pairs = _ray_pairs(cone.generators, sys)
     if _exponent_pair(cone.interior_point(), sys) != tuple(map(sum, zip(*pairs))):
         raise ValueError(f"x^v is not linear on the cone spanned by {cone.generators}")
-    num: dict[int, Fraction] = {}
+    shift = -sum(min(a, 0) for a, _ in pairs)  # every point's a is at least -shift
+    num: dict[int, int] = {}
     for _, mu in parallelepiped_points_with_coords(cone):
-        a, b = (int(sum((m or 1) * x for m, x in zip(mu, col))) for col in zip(*pairs))
-        num[b] = num.get(b, Fraction(0)) + qpow(ctx.q, a)
-    return FactoredRationalFunction(ctx.q, num, Counter(pairs))
+        # mu_i = nu_i / D, with each nu_i = 0 read as D
+        D = lcm(*(m.denominator for m in mu))
+        nu = [m.numerator * (D // m.denominator) or D for m in mu]
+        a, b = (sum(w * x for w, x in zip(nu, col)) // D for col in zip(*pairs))
+        num[b] = num.get(b, 0) + ctx.q ** (a + shift)
+    return FactoredRationalFunction(ctx.q, {b: Fraction(c, ctx.q**shift) for b, c in num.items()}, Counter(pairs))
 
 
 def compute_L(sys: PolySystem, ctx: PrimeContext, direction, budget: int = DEFAULT_ENUM_BUDGET) -> FactoredRationalFunction:
@@ -119,9 +129,9 @@ def compute_L(sys: PolySystem, ctx: PrimeContext, direction, budget: int = DEFAU
     """
     q = ctx.q
     counts = torus_count(sys, direction, ctx, budget)
-    scale = qpow(q, -(sys.n - sys.l + 1))
+    scale = q ** (sys.n - sys.l + 2)
     # Over the denominator 1 - q^{-1} t, which cancels when c_closed = 0.
-    num = {0: scale * counts.c_open, 1: scale * (counts.c_closed * (1 - Fraction(1, q)) - Fraction(counts.c_open, q))}
+    num = {0: Fraction(q * counts.c_open, scale), 1: Fraction(counts.c_closed * (q - 1) - counts.c_open, scale)}
     return FactoredRationalFunction(q, num, {(-1, 1): 1})
 
 
@@ -137,10 +147,8 @@ def candidate_poles(sys: PolySystem) -> CandidatePoles:
     lines: dict[Fraction, CandidateLine] = {}
     lines[Fraction(-1)] = CandidateLine(Fraction(-1), 1, [])
     gamma: Fraction | None = None
-    for ray in fan_mod.dual_subdivision(sys).skeleton:
-        if not all(x > 0 for x in ray):
-            continue
-        a, d_l = _exponent_pair(ray, sys)
+    rays = [ray for ray in fan_mod.dual_subdivision(sys).skeleton if all(x > 0 for x in ray)]
+    for ray, (a, d_l) in zip(rays, _ray_pairs(rays, sys)):
         re = Fraction(a, d_l)
         if re in lines:
             line = lines[re]

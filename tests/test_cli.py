@@ -348,9 +348,12 @@ class TestRun:
     @pytest.mark.parametrize("mode", ["zeta", "zeta0", "all"])
     def test_one_scan_per_face_system(self, mode, monkeypatch):
         # Every F_p grid scan of the certificates and counts starts a
-        # product_chunks walk.  A job walks once per distinct face system
-        # among the subdivision's directions and a = 0, plus once for good
-        # reduction, however many cones and certificates read them.
+        # product_chunks walk.  A job walks at most once per distinct face
+        # system among the subdivision's directions and a = 0, however many
+        # cones and certificates read them.  A face with one coefficient
+        # prime to p has no torus zero: in the head it leaves no walk, as
+        # the last face a walk of the head alone.  The linear head x + y - z
+        # has good reduction without a walk.
         import igusa.counting as counting_mod
         from igusa.fan import dual_subdivision
         from igusa.polycore import PolySystem, face_function, parse_polynomial
@@ -365,8 +368,11 @@ class TestRun:
         sys_ = PolySystem(3, [parse_polynomial(text, cfg.variables) for text in cfg.polys])
         directions = [cone.interior_point() for cone in dual_subdivision(sys_).cones] + [(0, 0, 0)]
         face_systems = {tuple(tuple(sorted(face_function(f, a).terms.items())) for f in sys_.polys) for a in directions}
-        assert len(face_systems) == 20
-        assert len(scans) == len(face_systems) + 1
+        monomial = [[sum(c % 23 != 0 for _, c in face) == 1 for face in system] for system in face_systems]
+        full = sum(not any(m) for m in monomial)
+        head_only = sum(m == [False, True] for m in monomial)
+        assert (len(face_systems), full, head_only) == (20, 7, 4)
+        assert len(scans) == full + head_only == 11
 
     @pytest.mark.parametrize(
         "variables,polys,prime,depth,points",
@@ -821,12 +827,15 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "name,job,mode,code",
         [("line-all", JOB_LINE, "all", 0), ("degenerate-check", JOB_DEGENERATE, "check", 2),
-         ("not-convenient-poles", JOB_NOT_CONVENIENT, "poles", 2)],
+         ("not-convenient-poles", JOB_NOT_CONVENIENT, "poles", 2),
+         ("cofactor-zeta", JOB_COFACTOR_ZETA, "zeta", 0), ("head-measure-poincare", JOB_HEAD_MEASURE, "poincare", 0)],
     )
     def test_report_matches_pin(self, name, job, mode, code):
         # line-all has every section, the Poincare rows and the prop3
         # residual; degenerate-check a witness; not-convenient-poles
-        # candidates only, with both engine refusals.
+        # candidates only, with both engine refusals; cofactor-zeta a sum
+        # that cancels a cyclotomic cofactor, with every cone's L and S;
+        # head-measure-poincare the Poincare series from Z(1) = 1/3.
         config = parse_config(job)
         config.mode = mode
         report, exit_code = run(config)

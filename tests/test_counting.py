@@ -704,3 +704,104 @@ class TestScanMemo:
         assert s.scans and not cert.ok
         assert _refusal(lambda: check_nondegenerate(s, ctx, budget=6)) == fresh
         assert check_nondegenerate(s, ctx, budget=8) == cert == check_nondegenerate(PolySystem(s.n, s.polys), ctx, budget=8)
+
+
+# ---------------------------------------------------------------------------
+# Scans cut short: monomial faces mod p and linear heads
+# ---------------------------------------------------------------------------
+
+
+def _units_mod_p(face, p):
+    return sum(c % p != 0 for c in face.terms.values())
+
+
+class TestMonomialFaces:
+    """A face with exactly one coefficient prime to p has no torus zero."""
+
+    def _walks(self, monkeypatch):
+        walks = []
+        real = counting.product_chunks
+        monkeypatch.setattr(counting, "product_chunks", lambda axes: walks.append(axes) or real(axes))
+        return walks
+
+    def test_monomial_head_face_is_not_scanned(self, monkeypatch):
+        # Direction (1, 1) picks x*y from the head: no torus zero at all.
+        s = PolySystem(2, [parse_polynomial("x*y + x^3 + y^3", V2), parse_polynomial("x^2 + y^2", V2)])
+        walks = self._walks(monkeypatch)
+        tc = torus_count(s, (1, 1), PrimeContext(5))
+        assert (tc.c_open, tc.c_closed) == full_grid_torus_count(s, (1, 1), 5) == (0, 0)
+        assert walks == []
+
+    def test_monomial_last_face_scans_the_head_only(self, monkeypatch):
+        # Direction (1, 1) picks x + y from the head and 5*x^2 + x*y from
+        # f_l, whose one unit coefficient mod 5 leaves no common zero.
+        s = PolySystem(2, [parse_polynomial("x + y", V2), parse_polynomial("5*x^2 + x*y + y^3", V2)])
+        walks = self._walks(monkeypatch)
+        monkeypatch.setattr(counting, "_failures", lambda *args: pytest.fail("Jacobian evaluated"))
+        tc = torus_count(s, (1, 1), PrimeContext(5))
+        assert (tc.c_open, tc.c_closed) == full_grid_torus_count(s, (1, 1), 5) == (4, 0)
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_lone_coefficient_divisible_by_p_is_scanned(self, l, monkeypatch):
+        # The face 5*x*y of direction (1, 1) vanishes on the whole torus mod 5.
+        s = PolySystem(2, [parse_polynomial(f, V2) for f in ["5*x*y + x^3 + y^3", "x^2 + y^2"][:l]])
+        walks = self._walks(monkeypatch)
+        tc = torus_count(s, (1, 1), PrimeContext(5))
+        assert (tc.c_open, tc.c_closed) == full_grid_torus_count(s, (1, 1), 5)
+        assert len(walks) == 1 and sum((tc.c_open, tc.c_closed)) > 0
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_seeded_systems_match_the_full_torus(self, p):
+        # Faces of one or two terms with coefficients often divisible by p:
+        # counts on every cone and a = 0, and the certificates' witnesses,
+        # equal the full-torus references.
+        shortcuts = 0
+        for seed in range(12):
+            rng = random.Random(f"monomial-{p}-{seed}")
+            n, l = rng.choice([(2, 1), (2, 2), (3, 2)])
+            polys = []
+            for _ in range(l):
+                support = rng.sample([m for m in product(range(4), repeat=n) if any(m)], rng.randint(2, 4))
+                polys.append(IntPolynomial(n, {m: rng.choice([1, -1, 2, p, -p, 2 * p]) for m in support}))
+            s = PolySystem(n, polys)
+            ctx = PrimeContext(p)
+            for a in [barycenter(cone) for cone in triangulate(dual_subdivision(s)).cones] + [(0,) * n]:
+                tc = torus_count(s, a, ctx)
+                assert (tc.c_open, tc.c_closed) == full_grid_torus_count(s, a, p), (s, a)
+                shortcuts += any(_units_mod_p(face_function(f, a), p) == 1 for f in s.polys)
+            for at_origin in (False, True):
+                cert = check_nondegenerate(s, ctx, at_origin=at_origin)
+                expected = reference_witness(s, ctx, at_origin)
+                got = None if cert.ok else (cert.witness.direction, cert.witness.point, cert.witness.rank)
+                assert got == expected, (s, at_origin)
+        assert shortcuts > 10
+
+
+class TestLinearHead:
+    @pytest.mark.parametrize("second", ["6*x + 6*y + 6*z + x^2", "6*x + 6*y + 6*z"])
+    def test_rank_below_l_minus_one_mod_p_still_scans(self, second, monkeypatch):
+        # Both heads have linear parts of rank 1 mod 5, below l - 1 = 2:
+        # the origin is a singular point, found by the p^n scan.
+        s = PolySystem(3, [parse_polynomial(f, V3) for f in ("x + y + z", second, "x^2 + y^2 + z^2")])
+        walks = []
+        real = counting.product_chunks
+        monkeypatch.setattr(counting, "product_chunks", lambda axes: walks.append(axes) or real(axes))
+        ctx = PrimeContext(5)
+        assert check_good_reduction(s, ctx) is False
+        assert reference_good_reduction(s, ctx) is False
+        assert len(walks) == 1
+
+    def test_full_rank_linear_head_is_not_scanned(self, monkeypatch):
+        monkeypatch.setattr(counting, "product_chunks", lambda axes: pytest.fail("scanned"))
+        s = PolySystem(3, [parse_polynomial("x + y", V3), parse_polynomial("y - 2*z", V3), parse_polynomial("x^2 + y^2 + z^2", V3)])
+        assert check_good_reduction(s, PrimeContext(7))
+        assert check_good_reduction(sys71(), PrimeContext(23))
+
+    def test_budget_below_p_to_the_n_refuses(self):
+        s, ctx = sys71(), PrimeContext(23)
+        for _ in range(2):  # on a fresh system, then with the verdict kept
+            with pytest.raises(BudgetExceededError) as err:
+                check_good_reduction(s, ctx, budget=23**3 - 1)
+            assert err.value.required == 23**3
+            assert check_good_reduction(s, ctx, budget=23**3)

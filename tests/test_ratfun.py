@@ -1,8 +1,10 @@
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+import ratfun_reference as ref
 
 from igusa.ratfun import FactoredRationalFunction as FRF
 from igusa.ratfun import _poly_add, _poly_mul, qpow
@@ -24,9 +26,7 @@ def scaled(r, c):
     c = Fraction(c)
     if c == 0:
         return FRF.zero(r.q)
-    out = r.copy()
-    out.num = {k: v * c for k, v in out.num.items()}
-    return out
+    return FRF(r.q, {k: v * c for k, v in r.num.items()}, r.den)
 
 
 class TestConstruction:
@@ -249,3 +249,73 @@ class TestReducedForm:
                 for other in (FRF.sum(q, order), functools.reduce(FRF.__add__, order)):
                     assert (other.num, other.den) == (total.num, total.den)
         assert reduced >= 100 and cancelled >= 100
+
+
+# ---------------------------------------------------------------------------
+# The integer implementation against the Fraction reference it replaced
+# ---------------------------------------------------------------------------
+
+
+def _seeded_case(rng):
+    """(q, numerator, denominator) over Fractions whose numerator shares some
+    of the denominator's factors or their cyclotomic cofactors, so that
+    _reduce cancels factors with a >= 0 (bottom-up), with a < 0 (top-down)
+    and through the cofactor branch; b = 0 factors are mixed in."""
+    q = rng.choice([3, 5, 7])
+    den = Counter()
+    num = _random_poly(rng)
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.randint(-3, 2), rng.randint(1, 2)
+        k = rng.choice([1, 1, 2, 3])
+        den[(k * a, k * b)] += 1
+        roll = rng.random()
+        if roll < 0.4:  # the factor itself divides the numerator
+            num = ref._times_factors(num, {(k * a, k * b): 1}, q)
+        elif roll < 0.7:  # only its cofactor does
+            num = _poly_mul(num, {i * b: qpow(q, i * a) for i in range(k)})
+    if rng.random() < 0.4:
+        den[(rng.choice([-2, -1, 1, 2]), 0)] += rng.randint(1, 2)
+    return q, num, den
+
+
+def _observed(r):
+    return (r.num, dict(r.den), r.t_form(), r.s_form(), r.taylor(7),
+            [(line.re, line.period, line.multiplicity) for line in r.poles()])
+
+
+class TestAgainstFractionReference:
+    """Construction, ``sum`` and ``*`` give the reference's canonical form."""
+
+    def test_seeded_inputs(self):
+        rng = random.Random(20261020)
+        seen = Counter()
+        for _ in range(300):
+            cases = [_seeded_case(rng) for _ in range(3)]
+            q = cases[0][0]
+            cases = [(q, num, den) for _, num, den in cases]
+            ours = [FRF(*case) for case in cases]
+            theirs = [ref.FactoredRationalFunction(*case) for case in cases]
+            results = [
+                (ours[0], theirs[0], cases[0][2]),
+                (FRF.sum(q, ours), ref.FactoredRationalFunction.sum(q, theirs), sum((c[2] for c in cases), Counter())),
+                (ours[1] * ours[2], theirs[1] * theirs[2], cases[1][2] + cases[2][2]),
+            ]
+            for mine, expected, den in results:
+                assert _observed(mine) == _observed(expected)
+                seen["b = 0"] += any(b == 0 for _, b in den)
+                kept = +Counter({f: m for f, m in den.items() if f[1]})
+                if expected.is_zero():
+                    continue
+                seen["a < 0 cancelled"] += any(a < 0 and expected.den[(a, b)] < m for (a, b), m in kept.items())
+                seen["a >= 0 cancelled"] += any(a >= 0 and expected.den[(a, b)] < m for (a, b), m in kept.items())
+                seen["cofactor"] += any(f not in kept for f in expected.den)
+        assert min(seen.values()) >= 100 and len(seen) == 4, seen
+
+    @pytest.mark.parametrize("num,den", [
+        ({0: 1, 1: Fraction(1, 5)}, {(-2, 2): 1}),                  # (1 + x) / (1 - x^2), x = 5^-1 t
+        ({0: 3, 1: -Fraction(3, 5)}, {(-1, 1): 2, (1, 0): 1}),      # a < 0 cancelled, b = 0 folded
+        ({0: Fraction(2, 7), 3: -2}, {(2, 3): 1, (-1, 0): 2}),
+        ({}, {(1, 1): 1, (-3, 0): 1}),
+    ])
+    def test_named_cases(self, num, den):
+        assert _observed(FRF(5, num, den)) == _observed(ref.FactoredRationalFunction(5, num, den))
