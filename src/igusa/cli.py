@@ -121,7 +121,7 @@ def _json_value(x):
     if isinstance(x, (list, tuple)):
         return [_json_value(v) for v in x]
     if isinstance(x, FactoredRationalFunction):
-        num = {str(k): str(c) for k, c in sorted(x.num.items())}
+        num = {str(k): c for k, c in x.coefficient_strings().items()}
         den = [{"a": a, "b": b, "mult": m} for (a, b), m in sorted(x.den.items())]
         return {"numerator": num, "denominator": den, "t_form": x.t_form(), "s_form": x.s_form()}
     # Fields, not vars(): a Cone keeps cached properties in its __dict__.

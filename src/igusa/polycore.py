@@ -6,6 +6,10 @@ grammar), face functions with respect to a weight vector, evaluation over
 residue rings (one point at a time, or exactly in int64 over whole grids of
 points), formal partial derivatives, and the convenience test.  There is
 deliberately no general polynomial arithmetic.
+
+The grid evaluator reduces lazily: each int64 array carries an upper bound,
+and is reduced, as x - (x // m) * m, only when the next product or sum could
+reach 2^63.
 """
 
 from __future__ import annotations
@@ -248,48 +252,107 @@ def _check_grid_modulus(modulus: int) -> None:
         raise ModulusOverflowError(f"modulus {modulus} too large for exact int64 grid evaluation (needs modulus^2 < 2^63)")
 
 
+@dataclass(slots=True)
+class _Bounded:
+    """Nonnegative int64 values (or an int) with a Python-int upper bound;
+    ``mine`` marks an array allocated here and held by no one else."""
+
+    values: np.ndarray | int
+    top: int
+    mine: bool = False
+
+    def reduce(self, modulus: int) -> None:
+        """Bring the values into [0, modulus), as x - (x // modulus) * modulus."""
+        if self.top >= modulus:
+            q = self.values // modulus
+            q *= modulus
+            if self.mine:
+                self.values -= q
+            else:
+                self.values, self.mine = self.values - q, True
+            self.top = modulus - 1
+
+
+def _combine(op, a: _Bounded, b: _Bounded, modulus: int) -> _Bounded:
+    """op(a, b), op np.multiply or np.add, in place on a if a is mine.  While
+    the result's bound could reach 2^63, the larger operand is reduced."""
+    while (top := a.top * b.top if op is np.multiply else a.top + b.top) >= 1 << 63:
+        (a if a.top >= b.top else b).reduce(modulus)
+    return _Bounded(op(a.values, b.values, out=a.values if a.mine else None), top, True)
+
+
 def eval_on_grid(f: IntPolynomial, coords: list[np.ndarray], modulus: int) -> np.ndarray:
     """Values of f mod modulus at the points with coordinate arrays ``coords``.
 
-    Exact in int64: coordinates are cast to int64 and reduced, every product
-    has factors below modulus, so modulus^2 < 2^63 is required and checked,
-    and the terms, each below modulus < 2^32, are summed before one reduction.
+    Exact in int64 and reduced lazily: coordinates are brought into
+    [0, modulus), then an array is reduced only when the next product or sum
+    could reach 2^63, so modulus^2 < 2^63 is required and checked.  Only
+    arrays allocated here are changed in place, never the caller's.
     """
     _check_grid_modulus(modulus)
-    coords = [np.asarray(x, dtype=np.int64) for x in coords]
-    # Grid coordinates are usually residues already; reduce only those that are not.
-    coords = [x if not x.size or 0 <= x.min() and x.max() < modulus else x % modulus for x in coords]
-    total = np.zeros(coords[0].shape, dtype=np.int64)
+    points = []
+    for x in coords:
+        x = np.asarray(x, dtype=np.int64)
+        # Grid coordinates are usually residues already; reduce only those that are not.
+        points.append(_Bounded(x if not x.size or 0 <= x.min() and x.max() < modulus else x % modulus, modulus - 1))
+    total = None
     for m, c in f.terms.items():
         c %= modulus
         if not c:
             continue
         term = None
-        for x, e in zip(coords, m):
+        for x, e in zip(points, m):
             # Square-and-multiply, from the first power, with no square past the top bit.
             while e:
-                if e & 1:
-                    term = x if term is None else term * x % modulus
+                if e & 1 and term is None:
+                    # The term takes x over; x keeps its values only to square them into a new array.
+                    term, x = _Bounded(x.values, x.top, x.mine), _Bounded(x.values, x.top)
+                elif e & 1:
+                    term = _combine(np.multiply, term, x, modulus)
                 e >>= 1
                 if e:
-                    x = x * x % modulus
+                    x = _combine(np.multiply, x, x, modulus)
         if term is None:
-            total += c
-        else:
-            total += term if c == 1 else term * c % modulus
-    return total % modulus
+            term = _Bounded(np.full(points[0].values.shape, c, dtype=np.int64), c, True)
+        elif c != 1:
+            term = _combine(np.multiply, term, _Bounded(c, c), modulus)
+        total = term if total is None else _combine(np.add, total, term, modulus)
+    if total is None:
+        return np.zeros(points[0].values.shape, dtype=np.int64)
+    total.reduce(modulus)
+    return total.values if total.mine else total.values.copy()
 
 
 def product_chunks(axes):
     """Yield coordinate arrays covering the product of ``axes`` (one array of
     values per coordinate), GRID_CHUNK points at a time, coordinate 0
-    fastest."""
+    fastest.  Coordinate j repeats each value stride_j (the product of the
+    earlier axis lengths) times: a slice of one tiled block when its period
+    fits in a chunk, else built from its runs.  The arrays are read-only.
+    """
     axes = [np.asarray(axis, dtype=np.int64) for axis in axes]
-    shape = tuple(len(axis) for axis in axes)
-    total = math.prod(shape)
+    total = math.prod(len(axis) for axis in axes)
+    strides = [math.prod(len(axis) for axis in axes[:j]) for j in range(len(axes))]
+    periods = strides[1:] + [total]
+    tiled = []
+    for axis, stride, period in zip(axes, strides, periods):
+        block = axis.repeat(stride) if 0 < period <= GRID_CHUNK else None
+        if block is not None and period < total:
+            # Long enough for a chunk from any offset within the period.
+            block = block[None].repeat(-(-min(total, period - 1 + GRID_CHUNK) // period), 0).ravel()
+        tiled.append(block)
     for start in range(0, total, GRID_CHUNK):
-        idx = np.arange(start, min(start + GRID_CHUNK, total))
-        yield [axis[d] for axis, d in zip(axes, np.unravel_index(idx, shape, order="F"))]
+        end = min(start + GRID_CHUNK, total)
+        chunk = []
+        for axis, stride, period, block in zip(axes, strides, periods, tiled):
+            if block is None:
+                runs = np.arange(start // stride, (end - 1) // stride + 2)  # the runs met, and one past
+                block = np.repeat(axis[runs[:-1] % len(axis)], np.diff(np.clip(runs * stride, start, end)))
+            else:
+                block = block[start % period : start % period + end - start]
+            block.flags.writeable = False
+            chunk.append(block)
+        yield chunk
 
 
 def grid_zeros(polys, coords: list[np.ndarray], modulus: int) -> list[np.ndarray]:

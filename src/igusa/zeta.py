@@ -118,7 +118,7 @@ def compute_S(cone: Cone, sys: PolySystem, ctx: PrimeContext) -> FactoredRationa
         nu = [m.numerator * (D // m.denominator) or D for m in mu]
         a, b = (sum(w * x for w, x in zip(nu, col)) // D for col in zip(*pairs))
         num[b] = num.get(b, 0) + ctx.q ** (a + shift)
-    return FactoredRationalFunction(ctx.q, {b: Fraction(c, ctx.q**shift) for b, c in num.items()}, Counter(pairs))
+    return FactoredRationalFunction.from_integers(ctx.q, num, ctx.q**shift, Counter(pairs))
 
 
 def compute_L(sys: PolySystem, ctx: PrimeContext, direction, budget: int = DEFAULT_ENUM_BUDGET) -> FactoredRationalFunction:
@@ -129,10 +129,9 @@ def compute_L(sys: PolySystem, ctx: PrimeContext, direction, budget: int = DEFAU
     """
     q = ctx.q
     counts = torus_count(sys, direction, ctx, budget)
-    scale = q ** (sys.n - sys.l + 2)
     # Over the denominator 1 - q^{-1} t, which cancels when c_closed = 0.
-    num = {0: Fraction(q * counts.c_open, scale), 1: Fraction(counts.c_closed * (q - 1) - counts.c_open, scale)}
-    return FactoredRationalFunction(q, num, {(-1, 1): 1})
+    num = {0: q * counts.c_open, 1: counts.c_closed * (q - 1) - counts.c_open}
+    return FactoredRationalFunction.from_integers(q, num, q ** (sys.n - sys.l + 2), {(-1, 1): 1})
 
 
 def candidate_poles(sys: PolySystem) -> CandidatePoles:

@@ -4,6 +4,7 @@ import time
 from itertools import product
 
 import numpy as np
+import polycore_reference
 import pytest
 
 from igusa import polycore
@@ -329,6 +330,66 @@ class TestGrid:
         empty = eval_on_grid(f, [np.array([], dtype=np.int64)] * 3, modulus)
         assert empty.dtype == np.int64 and empty.shape == (0,)
 
+    @pytest.mark.parametrize("modulus", [2, 5, 3037000499])
+    @pytest.mark.parametrize("e", [64, 2001])
+    def test_large_exponents(self, modulus, e):
+        # Squares past 2^63 at every modulus above 2, unless reduced.
+        f = IntPolynomial(2, {(e, 0): 1, (1, e): -1, (e, e): 3})
+        x = np.array([0, 1, 2, modulus - 1, 3 % modulus, 12345 % modulus], dtype=np.int64)
+        y = np.array([modulus - 1, 0, 1, 2, modulus - 2, 7 % modulus], dtype=np.int64)
+        expected = [evaluate_mod(f, pt, modulus) for pt in zip(x.tolist(), y.tolist())]
+        assert eval_on_grid(f, [x, y], modulus).tolist() == expected
+
+    def test_running_sum_is_reduced(self):
+        # 64 terms of value (modulus - 1)^2 before reduction: their sum would
+        # pass 2^63 unless the running total is reduced on the way.
+        modulus = 3037000499
+        f = IntPolynomial(2, {(k, 63 - k): modulus - 1 for k in range(64)})
+        x = np.array([modulus - 1, 1, 2, modulus - 2], dtype=np.int64)
+        y = np.array([modulus - 1, modulus - 1, 3, 5], dtype=np.int64)
+        expected = [evaluate_mod(f, pt, modulus) for pt in zip(x.tolist(), y.tolist())]
+        assert eval_on_grid(f, [x, y], modulus).tolist() == expected
+
+    def test_constant_only(self):
+        x = np.array([0, 4, -9], dtype=np.int64)
+        assert eval_on_grid(IntPolynomial(1, {(0,): -3}), [x], 7).tolist() == [4, 4, 4]
+        assert eval_on_grid(IntPolynomial(1, {(0,): 14}), [x], 7).tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_coordinates_unchanged(self, dtype, signed):
+        # x, y and x*y alone, a power of each, and a coefficient: every way a
+        # term can start from, or be, a caller's coordinate array.
+        modulus = 50021
+        rng = np.random.default_rng(7)
+        coords = [rng.integers(-modulus if signed else 0, modulus, 40).astype(dtype) for _ in range(2)]
+        before = [x.copy() for x in coords]
+        points = list(zip(*(x.tolist() for x in coords)))
+        for terms in ({(1, 0): 1, (0, 1): 1, (1, 1): 1, (5, 0): 2, (0, 3): -1}, {(1, 0): 1}, {(0, 1): 1}):
+            f = IntPolynomial(2, terms)
+            values = eval_on_grid(f, coords, modulus)
+            assert values.tolist() == [evaluate_mod(f, pt, modulus) for pt in points]
+            assert not any(np.shares_memory(values, x) for x in coords)
+        for x, old in zip(coords, before):
+            assert x.dtype == dtype and np.array_equal(x, old)
+
+    def test_seeded_sweep_against_evaluate_mod(self):
+        # Large moduli, exponents and term counts, so that products and sums
+        # are reduced at every point the bounds allow.
+        rng = random.Random(20261020)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            modulus = rng.choice([3, 23, 47**4, 2**31 - 1, rng.randint(2, 3037000499), 3037000499])
+            terms = {
+                tuple(rng.choice([0, 0, 1, 2, 7, 64, rng.randint(0, 300)]) for _ in range(n)):
+                rng.choice([1, -1, modulus - 1, rng.randint(-10**20, 10**20)])
+                for _ in range(rng.randint(1, 12))
+            }
+            f = IntPolynomial(n, terms)
+            points = [tuple(rng.choice([0, modulus - 1, rng.randint(-2 * modulus, 2 * modulus)]) for _ in range(n)) for _ in range(20)]
+            coords = [np.array(x, dtype=np.int64) for x in zip(*points)]
+            assert eval_on_grid(f, coords, modulus).tolist() == [evaluate_mod(f, pt, modulus) for pt in points]
+
     def test_chunks_cover_grid_in_order(self, monkeypatch):
         monkeypatch.setattr(polycore, "GRID_CHUNK", 7)
         chunks = list(product_chunks([[1, 2, 4]] * 3))
@@ -344,6 +405,26 @@ class TestGrid:
         assert [len(c[0]) for c in chunks] == [4, 2]
         points = [tuple(x[k] for x in c) for c in chunks for k in range(len(c[0]))]
         assert points == [z[::-1] for z in product(*axes[::-1])]
+
+    @pytest.mark.parametrize("grid_chunk", [1, 3, 7, 64, 1 << 20])
+    def test_chunks_match_reference(self, monkeypatch, grid_chunk):
+        monkeypatch.setattr(polycore, "GRID_CHUNK", grid_chunk)
+        rng = np.random.default_rng(grid_chunk)
+        cases = [[rng.integers(-40, 40, rng.integers(1, 9)) for _ in range(rng.integers(1, 6))] for _ in range(30)]
+        # Later strides past the chunk (8 * 9 > 64), a length-1 axis, an
+        # axis longer than the chunk, and an empty product.
+        cases += [[np.arange(8), np.arange(9), np.arange(5), [3], np.arange(4)], [np.arange(70)], [np.arange(3), []]]
+        strides_past_chunk = 0
+        for axes in cases:
+            chunks = list(product_chunks(axes))
+            expected = list(polycore_reference.product_chunks(axes))
+            assert len(chunks) == len(expected)
+            for chunk, ref in zip(chunks, expected):
+                assert len(chunk) == len(ref)
+                for x, y in zip(chunk, ref):
+                    assert x.dtype == np.int64 and len(x) <= grid_chunk and x.tolist() == y.tolist()
+            strides_past_chunk += any(np.prod([len(a) for a in axes[:j]]) > grid_chunk for j in range(len(axes)))
+        assert strides_past_chunk or grid_chunk == 1 << 20
 
 
 class TestPrimitiveRoot:

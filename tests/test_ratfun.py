@@ -2,6 +2,7 @@ import functools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import ratfun_reference as ref
@@ -300,8 +301,15 @@ class TestAgainstFractionReference:
                 (FRF.sum(q, ours), ref.FactoredRationalFunction.sum(q, theirs), sum((c[2] for c in cases), Counter())),
                 (ours[1] * ours[2], theirs[1] * theirs[2], cases[1][2] + cases[2][2]),
             ]
+            # The integer entry, over a scaled denominator of either sign.
+            scale = rng.choice([1, -1, 6, -35])
+            d = scale * lcm(*(Fraction(c).denominator for c in cases[0][1].values()))
+            ints = {k: Fraction(c) * d for k, c in cases[0][1].items()}
+            assert _observed(FRF.from_integers(q, {k: int(c) for k, c in ints.items()}, d, cases[0][2])) == _observed(ours[0])
             for mine, expected, den in results:
                 assert _observed(mine) == _observed(expected)
+                strings = mine.coefficient_strings()
+                assert list(strings.items()) == [(k, str(c)) for k, c in sorted(expected.num.items())]
                 seen["b = 0"] += any(b == 0 for _, b in den)
                 kept = +Counter({f: m for f, m in den.items() if f[1]})
                 if expected.is_zero():
