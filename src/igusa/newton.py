@@ -79,8 +79,7 @@ def _enumerate_facets(n: int, pts: list[Exponent]) -> list[Facet]:
     # entries of both signs is rejected at once.
     unit = [tuple(int(i == j) for j in range(n)) + (0,) for i in range(n)]
     normals = cone_facet_normals(unit + [m + (1,) for m in pts])
-    facets = [Facet(u[:n], -u[n]) for u in normals if any(u[:n])]
-    return sorted(facets, key=lambda f: f.normal)
+    return [Facet(u[:n], -u[n]) for u in normals if any(u[:n])]
 
 
 def cone_facet_normals(gens) -> list[tuple[int, ...]]:
@@ -97,14 +96,14 @@ def cone_facet_normals(gens) -> list[tuple[int, ...]]:
     primitive combination on the cut.  Adjacency is combinatorial: no third
     facet's zero set (its generators on the hyperplane) contains the pair's
     common zero set, which is exact since the dual cone is pointed inside the
-    span.  The normals come in the order of the lexicographically first
-    independent dim-1 generators of their zero sets; a ray's one facet is
+    span.  A generator inside the cone built so far is on no facet's negative
+    side and cuts nothing.  The normals come sorted; a ray's one facet is
     {0}, with normal its generator.
     """
     ncols = len(gens[0])
     eqs = [linalg.primitive_integer_vector(v) for v in linalg.nullspace(gens)]
     dim = ncols - len(eqs)
-    basis = _greedy_basis(gens, list(range(len(gens))), dim)
+    basis = _greedy_basis(gens, dim)
     facets = []  # (normal, indices of the generators on its hyperplane)
     for b in basis:
         u = linalg.kernel_vector([gens[c] for c in basis if c != b] + eqs, ncols)
@@ -125,15 +124,14 @@ def cone_facet_normals(gens) -> list[tuple[int, ...]]:
             d = gcd(*w)
             cut.append((tuple(x // d for x in w), z | {k}))
         facets = [(u, z | {k} if s == 0 else z) for s, (u, z) in zip(sides, facets) if s >= 0] + cut
-    keyed = sorted((_greedy_basis(gens, sorted(z), dim - 1), u) for u, z in facets)
-    return [u for _, u in keyed]
+    return sorted(u for u, _ in facets)
 
 
-def _greedy_basis(gens, indices: list[int], size: int) -> list[int]:
-    """The lexicographically first ``size`` independent generators of
-    ``indices``: the pivot columns of the matrix with them as columns."""
-    rref = linalg.row_echelon(list(zip(*(gens[i] for i in indices))))
-    return [indices[next(c for c, x in enumerate(row) if x)] for row in rref if any(row)][:size]
+def _greedy_basis(gens, size: int) -> list[int]:
+    """The indices of the lexicographically first ``size`` independent
+    generators: the pivot columns of the matrix with them as columns."""
+    rref = linalg.row_echelon(list(zip(*gens)))
+    return [next(c for c, x in enumerate(row) if x) for row in rref if any(row)][:size]
 
 
 @dataclass
@@ -178,21 +176,12 @@ def system_support_value(sys: PolySystem, a) -> int:
 def system_polyhedron(sys: PolySystem) -> NewtonPolyhedron:
     """Newton polyhedron of the product (= Minkowski sum of the factors).
 
-    Generators are the pairwise sums of the factor supports; points that are
-    coordinatewise dominated generate nothing new and are pruned up front.
+    Generators are all the sums of one support point per factor.  A sum
+    that dominates another sorts after it, so ``cone_facet_normals`` meets it
+    inside the cone built so far, where it costs one side test per facet.
     """
     _check_dimension(sys.n)
     sums = {(0,) * sys.n}
     for f in sys.polys:
         sums = {tuple(a + b for a, b in zip(s, m)) for s in sums for m in f.terms}
-    pruned = _prune_dominated(sorted(sums))
-    return polyhedron_from_points(sys.n, pruned)
-
-
-def _prune_dominated(pts: list[Exponent]) -> list[Exponent]:
-    out = []
-    for m in pts:
-        if any(m != m2 and all(a >= b for a, b in zip(m, m2)) for m2 in pts):
-            continue
-        out.append(m)
-    return out
+    return polyhedron_from_points(sys.n, sums)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -181,6 +181,34 @@ class TestSystemSupport:
             assert set(total.attaining) <= sums
 
 
+def _prune_dominated(pts):
+    """Reference: the pass that once dropped, before the facet search, every
+    Minkowski sum that coordinatewise dominates another."""
+    out = []
+    for m in pts:
+        if any(m != m2 and all(a >= b for a, b in zip(m, m2)) for m2 in pts):
+            continue
+        out.append(m)
+    return out
+
+
+class TestDominatedSums:
+    def test_dense_systems_match_pruned_sums(self):
+        # Supports sampled from a shell of total degree, so that many sums
+        # dominate others and many do not: about 200 sums, up to 87 kept.
+        rng = random.Random(20261021)
+        for n in range(2, 6):
+            degree = {2: 24, 3: 10, 4: 6, 5: 5}[n]
+            shell = [m for m in product(range(degree + 1), repeat=n) if degree // 2 <= sum(m) <= degree]
+            for l in range(1, min(3, n) + 1):
+                size = min(round(200 ** (1 / l)), len(shell))
+                s = PolySystem(n, [IntPolynomial(n, dict.fromkeys(rng.sample(shell, size), 1)) for _ in range(l)])
+                sums = {tuple(map(sum, zip(*ms))) for ms in product(*(f.terms for f in s.polys))}
+                assert len(sums) > 100
+                pruned = _prune_dominated(sorted(sums))
+                assert system_polyhedron(s).facets == polyhedron_from_points(n, pruned).facets, (n, l)
+
+
 def _hyperplane_facets(n, pts):
     """Reference facet search: every hyperplane spanned by k support points
     and n-k coordinate directions, kept when its normal is nonnegative and
@@ -298,14 +326,14 @@ def _named_system(name):
 
 
 class TestDoubleDescription:
-    """cone_facet_normals against the exhaustive subset search, in order."""
+    """cone_facet_normals against the exhaustive subset search, sorted."""
 
     def test_random_cones(self):
         rng = random.Random(20261019)
         for t in range(600):
             gens = _random_cone(rng, 1 + t % 5)
             if gens:
-                assert cone_facet_normals(gens) == _subset_facet_normals(gens), gens
+                assert cone_facet_normals(gens) == sorted(_subset_facet_normals(gens)), gens
 
     def test_random_homogenisation_cones(self):
         rng = random.Random(20261020)
@@ -313,13 +341,13 @@ class TestDoubleDescription:
             n = 1 + t % 5
             pts = sorted({tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(1, 10 - n))})
             gens = _homogenisation_cone(n, pts)
-            assert cone_facet_normals(gens) == _subset_facet_normals(gens), pts
+            assert cone_facet_normals(gens) == sorted(_subset_facet_normals(gens)), pts
 
     @pytest.mark.parametrize("name", sorted(NAMED_SYSTEMS))
     def test_named_systems(self, name):
         gamma = system_polyhedron(_named_system(name))
         gens = _homogenisation_cone(gamma.n, gamma.generators)
-        assert cone_facet_normals(gens) == _subset_facet_normals(gens)
+        assert cone_facet_normals(gens) == sorted(_subset_facet_normals(gens))
 
     @pytest.mark.parametrize("name", ["sextic-4var", "17-normals"])
     def test_eliminations_counted(self, name, monkeypatch):
