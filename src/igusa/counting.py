@@ -6,8 +6,8 @@ the non-degeneracy and good-reduction hypotheses.  All counts are exact;
 valid at the prime it was computed for.
 
 Every enumeration evaluates each face polynomial over whole chunks of the
-int64 grid of ``polycore`` and keeps the points where it vanishes; Jacobian
-ranks are computed only at the common zeros that survive.
+int64 grid of ``polycore``, keeps the points where it vanishes, and ranks
+the Jacobians at a chunk's common zeros in one call of ``_ranks_mod_p``.
 
 For a direction a != 0 the face functions are quasi-homogeneous of weight
 a: f_a(t.x) = t^d f_a(x) with t.x = (t^{a_1} x_1, ..., t^{a_n} x_n), and
@@ -77,16 +77,19 @@ class NondegCertificate:
     directions_checked: int = 0
 
 
+def _slice_gcds(a, p: int) -> list[int]:
+    """gcd(|a'_j|, p-1) at each nonzero a'_j of a' = a / gcd(a); [p-1] if a = 0."""
+    d = math.gcd(*a)
+    return [math.gcd(abs(x) // d, p - 1) for x in a if x] or [p - 1]
+
+
 def _slices(a, n: int, p: int) -> list[tuple[list, int]]:
     """(axes, g) of the orbit slice of (F_p^x)^n at each nonzero coordinate j
-    of direction a, in order (see the module docstring); x and y share a
+    of direction a, in order, with g from ``_slice_gcds``; x and y share a
     coset of (F_p^x)^g iff x^((p-1)/g) = y^((p-1)/g).  a = 0 gives the whole
-    torus as g = p - 1.  No axis is an array, so the caller can check the
-    size g (p-1)^(n-1) before any point exists."""
-    a = [int(x) for x in a]
+    torus as g = p - 1.  No axis is an array: no point exists before a walk."""
     out = []
-    for j in (j for j, x in enumerate(a) if x):
-        g = math.gcd(abs(a[j]) // math.gcd(*a), p - 1)
+    for j, g in zip((j for j, x in enumerate(a) if x), _slice_gcds(a, p)):
         least: dict[int, int] = {}
         x = 1
         while len(least) < g:
@@ -114,22 +117,20 @@ def torus_count(sys: PolySystem, a, ctx: PrimeContext, budget: int = DEFAULT_ENU
     return TorusCount(*_scan(sys, a, ctx.p, budget, "torus enumeration")[0])
 
 
-def _rank_mod_p(rows: list[list[int]], p: int) -> int:
-    m = [[x % p for x in row] for row in rows]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+def _ranks_mod_p(m, p: int) -> np.ndarray:
+    """Ranks over F_p of a stack m[k] of integer matrices, by fraction-free
+    elimination: in each column the row r0 with the largest residue turns
+    every row r into max(r0[c], 1) r - r[c] r0 mod p, which keeps the row
+    space, zeroes r0 and the column, and needs no inverses.  Products stay
+    below p^2: in int64 when p^2 < 2^63, else in Python integers, exact at any p."""
+    m = np.asarray(m, dtype=np.int64 if p * p < 1 << 63 else object) % p
+    ranks = np.zeros(len(m), dtype=np.int64)
+    while m.shape[2]:
+        col = m[:, :, :1]
+        r0 = np.take_along_axis(m, col.argmax(1)[:, None], 1)
+        ranks += r0[:, 0, 0] != 0
+        m = (np.maximum(r0[:, :, :1], 1) * m[:, :, 1:] - col * r0[:, :, 1:]) % p
+    return ranks
 
 
 def _jacobian(polys: list[IntPolynomial]) -> list[list[IntPolynomial]]:
@@ -138,19 +139,17 @@ def _jacobian(polys: list[IntPolynomial]) -> list[list[IntPolynomial]]:
 
 def jacobian_rank(polys: list[IntPolynomial], z, ctx: PrimeContext) -> int:
     """Rank over F_p of the matrix of formal partials evaluated at z."""
-    return _rank_mod_p([[d.evaluate_mod(z, ctx.p) for d in row] for row in _jacobian(polys)], ctx.p)
+    return int(_ranks_mod_p([[[d.evaluate_mod(z, ctx.p) for d in row] for row in _jacobian(polys)]], ctx.p)[0])
 
 
 def _failures(jac: list[list[IntPolynomial]], coords: list[np.ndarray], p: int, target: int) -> list[tuple[tuple[int, ...], int]]:
     """(point, Jacobian rank over F_p) at the points of the coordinate arrays
-    whose rank is not ``target``; each distinct value matrix is ranked once."""
+    whose rank is not ``target``, from one stack of the transposed (n x l)
+    Jacobians of all points; only the failures become tuples."""
     if not len(coords[0]):
         return []
-    values = [[eval_on_grid(d, coords, p).tolist() for d in row] for row in jac]
-    matrices = [tuple(tuple(v[k] for v in row) for row in values) for k in range(len(coords[0]))]
-    ranks = {m: _rank_mod_p(m, p) for m in set(matrices)}
-    points = [x.tolist() for x in coords]
-    return [(tuple(x[k] for x in points), ranks[m]) for k, m in enumerate(matrices) if ranks[m] != target]
+    ranks = _ranks_mod_p(np.array([[eval_on_grid(d, coords, p) for d in row] for row in jac]).T, p)  # l <= n columns
+    return [(tuple(int(x[k]) for x in coords), int(ranks[k])) for k in np.flatnonzero(ranks != target)]
 
 
 def _scan(sys: PolySystem, a, p: int, budget: int, what: str) -> tuple[tuple[int, int], tuple[tuple[int, ...], int] | None]:
@@ -162,7 +161,7 @@ def _scan(sys: PolySystem, a, p: int, budget: int, what: str) -> tuple[tuple[int
     the face system fails.
     """
     a = tuple(int(x) for x in a)
-    gs = [math.gcd(abs(x) // math.gcd(*a), p - 1) for x in a if x] or [p - 1]
+    gs = _slice_gcds(a, p)
     g, g_lead, rest = min(gs), gs[0], (p - 1) ** (sys.n - 1)
     check_budget(g * rest, budget, what)
     _check_grid_modulus(p)  # as the grid scan would, even one cut short
@@ -256,7 +255,7 @@ def check_good_reduction(sys: PolySystem, ctx: PrimeContext, budget: int = DEFAU
         jac = _jacobian(head)
         # Linear forms have a constant Jacobian: their coefficient matrix.
         linear = all(sum(m) <= 1 for f in head for m in f.terms)
-        smooth = linear and _rank_mod_p([[d.terms.get((0,) * sys.n, 0) for d in row] for row in jac], p) == sys.l - 1
+        smooth = linear and _ranks_mod_p([[[d.terms.get((0,) * sys.n, 0) % p for d in row] for row in jac]], p)[0] == sys.l - 1
         chunks = () if smooth else product_chunks([np.arange(p)] * sys.n)
         sys.scans[key] = not any(_failures(jac, grid_zeros(head, coords, p), p, sys.l - 1) for coords in chunks)
     return sys.scans[key]

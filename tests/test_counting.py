@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from counting_reference import rank_mod_p
 
 from igusa import counting
 from igusa.counting import (
@@ -134,6 +135,70 @@ class TestJacobianRank:
         assert jacobian_rank(faces, (1, 1, 1), PrimeContext(5)) == 2
 
 
+NEAR_LIMIT_PRIME = 3037000493  # the largest prime with p^2 < 2^63
+OBJECT_PRIME = 4294967311  # the first prime above 2^32: ranked as Python integers
+
+
+def _seeded_stack(rng, p, rows, cols, count):
+    """``count`` rows x cols matrices whose ranks cycle through 0 ..
+    min(rows, cols), then a zero matrix and one with a repeated row.  Rank k
+    is the product of random rows x k and k x cols factors with an identity
+    block each, its rows and columns shuffled, some entries shifted by -p."""
+    stack = []
+    for i in range(count):
+        k = i % (min(rows, cols) + 1)
+        a = [[int(t == r) if r < k else rng.randrange(p) for t in range(k)] for r in range(rows)]
+        b = [[int(t == c) if c < k else rng.randrange(p) for c in range(cols)] for t in range(k)]
+        m = [[sum(a[r][t] * b[t][c] for t in range(k)) % p - rng.choice([0, p]) for c in range(cols)] for r in range(rows)]
+        rng.shuffle(m)
+        order = rng.sample(range(cols), cols)
+        stack.append([[row[c] for c in order] for row in m])
+    repeated = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+    repeated[-1] = repeated[0]
+    return stack + [[[0] * cols for _ in range(rows)], repeated]
+
+
+class TestRanksModP:
+    @pytest.mark.parametrize("p", [3, 5, 23, NEAR_LIMIT_PRIME, OBJECT_PRIME])
+    def test_seeded_stacks_match_reference(self, p):
+        rng = random.Random(f"ranks-{p}")
+        seen = set()
+        for rows, cols in product(range(1, 7), repeat=2):
+            stack = _seeded_stack(rng, p, rows, cols, 12)
+            ranks = counting._ranks_mod_p(np.array(stack, dtype=np.int64), p).tolist()
+            assert ranks == [rank_mod_p(m, p) for m in stack], (rows, cols)
+            seen.update((min(rows, cols), r) for r in ranks)
+        assert seen == {(k, r) for k in range(1, 7) for r in range(k + 1)}
+
+    def test_empty_stack(self):
+        for shape in [(0, 1, 1), (0, 2, 5), (0, 6, 3)]:
+            assert counting._ranks_mod_p(np.zeros(shape, dtype=np.int64), 5).shape == (0,)
+
+    def test_repeated_rows(self):
+        m = np.array([[[1, 2, 3], [1, 2, 3], [2, 4, 6]], [[1, 2, 3], [0, 0, 0], [4, 3, 2]]])
+        assert counting._ranks_mod_p(m, 5).tolist() == [1, 1]  # (4, 3, 2) = -(1, 2, 3) mod 5
+        assert counting._ranks_mod_p(m, 7).tolist() == [1, 2]
+
+    def test_object_path_through_jacobian_rank(self):
+        # Past the int64 limit, one-point stacks are ranked exactly as
+        # Python integers.  Rows are made dependent (f1 = k f0) or zero at z
+        # (f2 has a double zero there), so every rank up to 3 occurs.
+        p = OBJECT_PRIME
+        rng = random.Random("object-path")
+        ranks = set()
+        for _ in range(40):
+            z = tuple(rng.randrange(1, p) for _ in range(3))
+            f0, g, h = (IntPolynomial(3, {m: rng.randrange(-p, p) for m in rng.sample(list(product(range(4), repeat=3)), 4)}) for _ in "fgh")
+            k = rng.randrange(2, p)
+            f1 = IntPolynomial(3, {m: k * c for m, c in f0.terms.items()})
+            f2 = IntPolynomial(3, {(2, 0, 0): 1, (1, 0, 0): -2 * z[0], (0, 2, 0): 1, (0, 1, 0): -2 * z[1], (0, 0, 2): 1, (0, 0, 1): -2 * z[2]})
+            for polys in ([f2], [f0, f1], rng.sample([f0, f1, f2, g, h], rng.randint(1, 5))):
+                r = jacobian_rank(polys, z, PrimeContext(p))
+                assert r == reference_rank(polys, z, p)
+                ranks.add(r)
+        assert ranks == {0, 1, 2, 3}
+
+
 class TestNondegeneracy:
     def test_71_global_ok(self):
         for p in (5, 7):
@@ -216,13 +281,15 @@ class TestGoodReduction:
         monkeypatch.setattr(counting, "product_chunks", lambda axes: pytest.fail("scanned"))
         assert check_good_reduction(degenerate_curve(), PrimeContext(3), budget=1)
 
-    def test_constant_jacobian_ranked_once(self, monkeypatch):
-        # The head x+y-z has a constant Jacobian: one rank for its 529 zeros.
-        calls = []
-        real = counting._rank_mod_p
-        monkeypatch.setattr(counting, "_rank_mod_p", lambda rows, p: calls.append(rows) or real(rows, p))
+    def test_linear_head_ranked_by_one_kernel_call(self, monkeypatch):
+        # The head x+y-z has a constant Jacobian: one kernel call on a stack
+        # of one matrix, its coefficients mod 23, and no walk of F_p^3.
+        stacks = []
+        real = counting._ranks_mod_p
+        monkeypatch.setattr(counting, "_ranks_mod_p", lambda m, p: stacks.append(m) or real(m, p))
+        monkeypatch.setattr(counting, "product_chunks", lambda axes: pytest.fail("scanned"))
         assert check_good_reduction(sys71(), PrimeContext(23))
-        assert len(calls) == 1
+        assert stacks == [[[[1, 1, 22]]]]
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +310,15 @@ def reference_torus_count(s, a, p):
     return c_open, c_closed
 
 
+def reference_rank(polys, z, p):
+    """Rank over F_p of the Jacobian at z, by the scalar reference."""
+    return rank_mod_p([[f.partial(j).evaluate_mod(z, p) for j in range(f.n)] for f in polys], p)
+
+
 def reference_good_reduction(s, ctx):
     head = s.polys[:-1]
     for z in product(range(ctx.p), repeat=s.n):
-        if not any(f.evaluate_mod(z, ctx.p) for f in head) and jacobian_rank(head, z, ctx) != s.l - 1:
+        if not any(f.evaluate_mod(z, ctx.p) for f in head) and reference_rank(head, z, ctx.p) != s.l - 1:
             return False
     return True
 
@@ -263,7 +335,7 @@ def reference_witness(s, ctx, at_origin):
         for z in product(range(1, ctx.p), repeat=s.n):
             if any(g.evaluate_mod(z, ctx.p) for g in faces):
                 continue
-            r = jacobian_rank(faces, z, ctx)
+            r = reference_rank(faces, z, ctx.p)
             if r != min(s.l, s.n):
                 return tuple(a), z, r
     return None

@@ -177,7 +177,7 @@ class TestSystemSupport:
                 for m1 in parts[0].attaining
                 for m2 in parts[1].attaining
             }
-            # Attaining points of the pruned generator set all arise as sums.
+            # Attaining points of the system polyhedron all arise as sums.
             assert set(total.attaining) <= sums
 
 
